@@ -16,7 +16,9 @@ can be pickled by reference:
   still cross the process boundary, but
   :class:`~repro.sim.batch.RequestBatch` columns are carried in POSIX
   shared memory (one segment per batch, attached zero-copy in the worker)
-  instead of being serialized through the queue pipe.
+  instead of being serialized through the queue pipe.  Each task runs
+  with the cyclic GC paused (:mod:`repro.gcpause`), the regime a
+  ``jobs=1`` fleet run has in-process.
 * **Per-call fork** — sweep specs (device factories, request generators)
   are built from closures that are generally not picklable, so they fall
   back to a transient ``fork`` pool that receives the work function by
@@ -44,6 +46,8 @@ import multiprocessing
 import os
 import pickle
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+
+from repro.gcpause import gc_paused
 
 _POINT_FN: Optional[Callable] = None
 """Work function inherited by forked pool workers; valid only while a
@@ -151,19 +155,13 @@ def _persistent_pool(workers: int):
         shutdown_pool()
     if _pool is None:
         context = multiprocessing.get_context("fork")
-        # Workers run with default interpreter state regardless of what
-        # the parent was doing at fork time (run_fleet forks from inside
-        # its GC pause; per-drain pauses in the worker still apply).
-        _pool = context.Pool(processes=workers, initializer=_worker_init)
+        # Workers keep the GC state they inherit at fork time; every task
+        # runs under its own pause (_run_pickled), so that state only
+        # matters between tasks.
+        _pool = context.Pool(processes=workers)
         _pool_workers = workers
         atexit.register(shutdown_pool)
     return _pool
-
-
-def _worker_init() -> None:
-    import gc
-
-    gc.enable()
 
 
 class _SharedBatchRef(NamedTuple):
@@ -256,13 +254,20 @@ def _export_task(task: Tuple, segments: list) -> Tuple:
 
 
 def _run_pickled(payload: Tuple) -> object:
-    """Persistent-pool worker body: re-attach batches, run the function."""
+    """Persistent-pool worker body: re-attach batches, run the function.
+
+    Attaching, running and building the return value happen under
+    :class:`~repro.gcpause.gc_paused` — the pause ``run_fleet`` holds
+    in-process at ``jobs=1`` — and the worker's previous GC state is
+    restored when the task ends.
+    """
     fn, task = payload
-    task = tuple(
-        _attach_batch(arg) if isinstance(arg, _SharedBatchRef) else arg
-        for arg in task
-    )
-    return fn(*task)
+    with gc_paused():
+        task = tuple(
+            _attach_batch(arg) if isinstance(arg, _SharedBatchRef) else arg
+            for arg in task
+        )
+        return fn(*task)
 
 
 # -- the pool map ------------------------------------------------------------- #

@@ -25,6 +25,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple, TYPE_CHECKING
 from repro.fleet.routing import Router, make_router
 from repro.obs.live import SLOSpec
 from repro.sim.config import SimConfig, check_config_keys
+from repro.validation import check_range
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fleet.merge import FleetResult
@@ -103,14 +104,12 @@ class FleetConfig:
                     f"member {index} sets trace_path={member.trace_path!r}; "
                     f"the fleet owns tracing — set FleetConfig.trace_path"
                 )
-        if self.num_requests < 0:
-            raise ValueError(f"negative num_requests: {self.num_requests}")
-        if self.jobs is not None and self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1: {self.jobs}")
-        if self.live_window is not None and self.live_window <= 0:
-            raise ValueError(
-                f"live_window must be positive: {self.live_window}"
-            )
+        check_range("rate", self.rate, gt=0)
+        check_range("num_requests", self.num_requests, ge=0)
+        if self.jobs is not None:
+            check_range("jobs", self.jobs, ge=1)
+        if self.live_window is not None:
+            check_range("live_window", self.live_window, gt=0)
         slos = tuple(self.slos)
         object.__setattr__(self, "slos", slos)
         for index, spec in enumerate(slos):

@@ -36,6 +36,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from repro.nputil import get_numpy
 from repro.obs.live import LiveSummary, merge_live_summaries
 from repro.obs.tracer import JsonlTracer, iter_trace
+from repro.sim.batch import RecordBatch
 from repro.sim.config import SimConfig
 from repro.sim.statistics import SimulationResult
 
@@ -47,35 +48,23 @@ def merge_results(results: Sequence[SimulationResult]) -> SimulationResult:
     single observer watching the whole fleet would have seen completions —
     and ``end_time`` is the latest shard end, so ``throughput`` is
     fleet-wide completions per second of simulated time.
+
+    The merge is one column concatenation and one stable
+    ``lexsort((rid, completion))``; the merged result is column-backed.
+    Record-backed inputs are columnarized first.
     """
-    records = [record for result in results for record in result.records]
-    if len(records) > 2048:
-        # Fleet-scale merges sort via numpy: two attribute-extraction
-        # passes plus an O(N log N) C-typed lexsort beat the list sort's
-        # per-comparison Python tuple keys by an order of magnitude at a
-        # million records.  Request ids are unique, so the (time, rid) key
-        # is a total order and the permutation — hence the merged result —
-        # is exactly the one the list sort produces.
-        np = get_numpy()
-        count = len(records)
-        times = np.fromiter(
-            (record.completion_time for record in records),
-            dtype=np.float64,
-            count=count,
-        )
-        rids = np.fromiter(
-            (record.request.request_id for record in records),
-            dtype=np.int64,
-            count=count,
-        )
-        order = np.lexsort((rids, times))
-        records = [records[index] for index in order.tolist()]
-    else:
-        # Small merges stay scalar so numpy remains a fleet-scale-only
-        # import (see repro.nputil).
-        records.sort(key=lambda r: (r.completion_time, r.request.request_id))
+    np = get_numpy()
+    batch = RecordBatch.concatenate(
+        [
+            result.batch
+            if result.batch is not None
+            else RecordBatch.from_records(result.records)
+            for result in results
+        ]
+    )
+    order = np.lexsort((batch.rid, batch.completion))
     end_time = max((result.end_time for result in results), default=0.0)
-    return SimulationResult(records=records, end_time=end_time)
+    return SimulationResult(batch=batch.take(order), end_time=end_time)
 
 
 @dataclass
@@ -97,7 +86,7 @@ class FleetResult:
     live: Optional[List[Optional[LiveSummary]]] = None
 
     def __len__(self) -> int:
-        return len(self.combined.records)
+        return len(self.combined)
 
     def member_label(self, index: int) -> str:
         config = self.member_configs[index]

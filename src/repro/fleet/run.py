@@ -31,8 +31,7 @@ shard traces are cleaned up before the error propagates.
 
 from __future__ import annotations
 
-import gc
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.experiments.parallel import parallel_map
 from repro.fleet.config import FleetConfig
@@ -44,6 +43,7 @@ from repro.fleet.merge import (
     remove_shard_traces,
     shard_trace_path,
 )
+from repro.gcpause import gc_paused
 from repro.obs.live import (
     DEFAULT_WINDOW_S,
     LiveAggregator,
@@ -51,7 +51,7 @@ from repro.obs.live import (
     SLOSpec,
 )
 from repro.obs.tracer import JsonlTracer
-from repro.sim.batch import RequestBatch
+from repro.sim.batch import RecordBatch, RequestBatch, as_request_batch
 from repro.sim.config import SimConfig
 from repro.sim.request import Request
 from repro.sim.statistics import SimulationResult
@@ -78,10 +78,10 @@ def _member_live_spec(
 
 def _run_member(
     member: SimConfig,
-    requests: Sequence[Request],
+    requests: Union[RequestBatch, Sequence[Request]],
     trace_path: Optional[str],
     live: Optional[LiveSpec],
-) -> Tuple[SimulationResult, Optional[LiveSummary]]:
+) -> Tuple[RecordBatch, float, Optional[LiveSummary]]:
     """Run one member's shard to completion (the worker-process body).
 
     The member config supplies the device/scheduler substrate; the request
@@ -90,6 +90,12 @@ def _run_member(
     member's workload fields.  Mirrors :meth:`SimConfig.run`'s tracer
     ownership and warmup handling so a 1-member fleet matches the
     single-device path exactly.
+
+    Returns the member's records after the warmup drop as a
+    :class:`~repro.sim.batch.RecordBatch` (request columns gathered from
+    the input stream by rid), the run's end time, and the live summary.
+    Columns cross the worker boundary far cheaper than record tuples, and
+    the same shape comes back for every ``jobs``.
 
     When ``live`` is set the member runs under a
     :class:`~repro.obs.live.LiveAggregator` wrapped around its shard sink
@@ -114,7 +120,9 @@ def _run_member(
         if tracer is not None:
             tracer.close()
     summary = aggregator.summary() if aggregator is not None else None
-    return result.drop_warmup(member.warmup), summary
+    records = result.records[member.warmup:]
+    batch = RecordBatch.from_records(records, as_request_batch(requests))
+    return batch, result.end_time, summary
 
 
 def run_fleet(
@@ -129,24 +137,17 @@ def run_fleet(
     columnar path when available.  Results and merged trace bytes are
     identical either way — the determinism tests compare both.
 
-    Generational GC is paused for the whole run, extending the engine's
-    per-drain pause (see :meth:`Simulation.run`) across the gaps between
-    member drains and the merge: by the later members, millions of
-    acyclic record tuples are live, and every gen-2 collection triggered
-    by ordinary allocation churn rescans all of them — measured at ~40%
-    of fleet wall time at 16x1M scale.  Nothing the fleet allocates forms
-    reference cycles, so reference counting reclaims everything either
-    way; the caller's GC setting is restored on exit, and forked workers
-    inherit the pause for their own drains.
+    The whole run is held under :class:`~repro.gcpause.gc_paused`,
+    extending the engine's per-drain pause across the gaps between member
+    drains and the merge; with ``jobs > 1`` each worker task holds the
+    same pause (see :mod:`repro.experiments.parallel`), so every member
+    runs under one GC regime whatever ``jobs`` is.  Nothing the fleet
+    allocates forms reference cycles, so reference counting reclaims
+    everything either way; the caller's GC setting is restored on exit,
+    also when a member raises.
     """
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
+    with gc_paused():
         return _run_fleet(config, jobs=jobs, columnar=columnar)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
 
 
 def _run_fleet(
@@ -187,8 +188,11 @@ def _run_fleet(
         if tracing:
             remove_shard_traces([p for p in shard_paths if p is not None])
         raise
-    results = [result for result, _ in outcomes]
-    summaries = [summary for _, summary in outcomes]
+    results = [
+        SimulationResult(batch=batch, end_time=end_time)
+        for batch, end_time, _ in outcomes
+    ]
+    summaries = [summary for _, _, summary in outcomes]
 
     counts = plan.member_counts()
     if sum(counts) != plan.total_requests:

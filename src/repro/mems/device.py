@@ -348,7 +348,7 @@ class MEMSDevice(StorageDevice):
         transfer = rows * self._tip_sector_time
         if len(cache) + len(lbns) > _PROFILE_CACHE_LIMIT:
             cache.clear()
-        make = _RequestProfile._make
+        new = tuple.__new__
         for lbn, sec, cyl, trk, fr, lr, xt, ylo, yhi, tt, rw in zip(
             lbns.tolist(),
             secs.tolist(),
@@ -362,8 +362,9 @@ class MEMSDevice(StorageDevice):
             transfer.tolist(),
             rows.tolist(),
         ):
-            cache[(lbn, sec)] = make(
-                (((cyl, trk, fr, lr),), xt, ylo, yhi, cyl, tt, rw)
+            cache[(lbn, sec)] = new(
+                _RequestProfile,
+                (((cyl, trk, fr, lr),), xt, ylo, yhi, cyl, tt, rw),
             )
 
     def positioning_lower_bound(self, request: Request, now: float = 0.0) -> float:

@@ -44,6 +44,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.sketch import DEFAULT_ALPHA, QuantileSketch
 from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.validation import check_range
 
 DEFAULT_WINDOW_S = 1.0
 """Default tumbling-window width (simulated seconds)."""
@@ -71,14 +72,10 @@ class SLOSpec:
     long_windows: int = 12
 
     def __post_init__(self) -> None:
-        if not 0 < self.objective < 1:
-            raise ValueError(f"objective must be in (0, 1): {self.objective}")
-        if self.threshold_s <= 0:
-            raise ValueError(f"threshold_s must be > 0: {self.threshold_s}")
-        if self.window_s <= 0:
-            raise ValueError(f"window_s must be > 0: {self.window_s}")
-        if self.long_windows < 1:
-            raise ValueError(f"long_windows must be >= 1: {self.long_windows}")
+        check_range("objective", self.objective, gt=0, lt=1)
+        check_range("threshold_s", self.threshold_s, gt=0)
+        check_range("window_s", self.window_s, gt=0)
+        check_range("long_windows", self.long_windows, ge=1)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -342,8 +339,7 @@ class LiveAggregator(Tracer):
         slos: Sequence[SLOSpec] = (),
         alpha: float = DEFAULT_ALPHA,
     ) -> None:
-        if window_s <= 0:
-            raise ValueError(f"window_s must be > 0: {window_s}")
+        check_range("window_s", window_s, gt=0)
         self.downstream_tracer = (
             downstream if downstream is not None else NULL_TRACER
         )

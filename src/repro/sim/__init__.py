@@ -9,10 +9,16 @@ Public surface:
 * :class:`~repro.sim.engine.Simulation`, :func:`~repro.sim.engine.simulate`,
   :class:`~repro.sim.engine.SimulationObserver`,
   :class:`~repro.sim.engine.QueueOverflowError` — the event loop.
-* :class:`~repro.sim.statistics.SimulationResult` — run metrics.
+* :class:`~repro.sim.statistics.SimulationResult` — run metrics, over a
+  record list or a columnar :class:`~repro.sim.batch.RecordBatch`.
 """
 
-from repro.sim.batch import RequestBatch, as_request_batch, as_request_list
+from repro.sim.batch import (
+    RecordBatch,
+    RequestBatch,
+    as_request_batch,
+    as_request_list,
+)
 from repro.sim.config import DEVICES, SimConfig, WORKLOADS, make_device
 from repro.sim.device import StorageDevice
 from repro.sim.engine import (
@@ -35,6 +41,7 @@ __all__ = [
     "EventQueue",
     "IOKind",
     "QueueOverflowError",
+    "RecordBatch",
     "ReplicationResult",
     "Request",
     "RequestBatch",

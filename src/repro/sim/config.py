@@ -27,6 +27,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, TYPE_CHECKING
 from repro.core.registry import Registry
 from repro.obs.live import LiveAggregator, SLOSpec
 from repro.obs.tracer import JsonlTracer, NULL_TRACER, SamplingTracer, Tracer
+from repro.validation import check_range
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.device import StorageDevice
@@ -182,16 +183,17 @@ class SimConfig:
     workload_params: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.num_requests < 0:
-            raise ValueError(f"negative num_requests: {self.num_requests}")
-        if self.warmup < 0:
-            raise ValueError(f"negative warmup: {self.warmup}")
-        if self.jobs is not None and self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1: {self.jobs}")
-        if self.trace_sample is not None and self.trace_sample < 1:
-            raise ValueError(f"trace_sample must be >= 1: {self.trace_sample}")
-        if self.live_window is not None and self.live_window <= 0:
-            raise ValueError(f"live_window must be > 0: {self.live_window}")
+        check_range("rate", self.rate, gt=0)
+        check_range("num_requests", self.num_requests, ge=0)
+        check_range("warmup", self.warmup, ge=0)
+        if self.max_queue_depth is not None:
+            check_range("max_queue_depth", self.max_queue_depth, ge=1)
+        if self.jobs is not None:
+            check_range("jobs", self.jobs, ge=1)
+        if self.trace_sample is not None:
+            check_range("trace_sample", self.trace_sample, ge=1)
+        if self.live_window is not None:
+            check_range("live_window", self.live_window, gt=0)
         slos = tuple(self.slos)
         object.__setattr__(self, "slos", slos)
         for index, spec in enumerate(slos):

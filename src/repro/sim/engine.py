@@ -23,11 +23,11 @@ The main entry point is :class:`Simulation`:
 from __future__ import annotations
 
 import enum
-import gc
 import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Union
 
+from repro.gcpause import gc_paused
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim.batch import RequestBatch
 from repro.sim.request import IOKind, Request, RequestRecord
@@ -203,19 +203,20 @@ class Simulation:
             self.device.prime_request_profiles(batch.lbn, batch.sectors)
             if stock_validate:
                 # One array pass replaces the per-request bounds checks, so
-                # materialization can go through ``Request._make`` — the
-                # C-speed constructor that skips the validating ``__new__``
+                # materialization can go through ``tuple.__new__`` — the
+                # C-level constructor that skips the validating ``__new__``
                 # whose invariants the bulk pass just enforced — fused with
                 # heap-entry construction in a single comprehension.
                 batch.validate(capacity)
-                make = Request._make
+                new = tuple.__new__
                 read, write = IOKind.READ, IOKind.WRITE
                 heap_entries = [
                     (
                         row[0],
                         arrival,
                         seq,
-                        make(
+                        new(
+                            Request,
                             (
                                 row[0],
                                 row[1],
@@ -307,16 +308,10 @@ class Simulation:
             )
 
         # The drain allocates one record + a few tuples per request and
-        # none of them form reference cycles (frozen dataclasses, plain
-        # tuples), so everything is reclaimed by reference counting alone.
-        # Generational GC scans, whose cost grows with the live heap, are
-        # pure overhead here — measured at 2-4x the total runtime on
-        # fleet-scale streams — so collection is paused for the drain and
-        # the caller's setting restored after.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        # none of them form reference cycles, so collection is paused for
+        # the drain and the caller's setting restored after (see
+        # repro.gcpause).
+        with gc_paused():
             if tracer.enabled or self.observers:
                 while queue:
                     time, kind, _seq, payload = queue.pop_raw()
@@ -331,9 +326,6 @@ class Simulation:
                         self._handle_completion(payload, queue)
             else:
                 self._run_fast(queue)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
 
         for observer in self.observers:
             observer.on_end(self.now)
@@ -382,6 +374,10 @@ class Simulation:
         pending = scheduler._pending_sized()
         service = self.device.service
         records_append = self._records.append
+        # Records are built through the C-level tuple constructor rather
+        # than the NamedTuple's Python-level ``__new__`` (one frame less
+        # per request).
+        new_tuple = tuple.__new__
         max_depth = self.max_queue_depth
         now = 0.0
         busy = False
@@ -434,8 +430,8 @@ class Simulation:
                     request = pop_next(now)
                     access = service(request, now)
                     completion_time = now + access.total
-                    record = RequestRecord(
-                        request, now, completion_time, access
+                    record = new_tuple(
+                        RequestRecord, (request, now, completion_time, access)
                     )
                     if index < count and entries[index][0] < completion_time:
                         busy = True

@@ -68,6 +68,7 @@ class Request(NamedTuple):
 
 
 _tuple_new = tuple.__new__
+_INF = float("inf")
 
 
 def _request_new(
@@ -78,8 +79,8 @@ def _request_new(
     kind: IOKind,
     request_id: int = 0,
 ):
-    if arrival_time < 0:
-        raise ValueError(f"negative arrival_time: {arrival_time}")
+    if not 0 <= arrival_time < _INF:  # also rejects NaN
+        raise ValueError(f"arrival_time must be finite and >= 0: {arrival_time}")
     if lbn < 0:
         raise ValueError(f"negative lbn: {lbn}")
     if sectors < 1:

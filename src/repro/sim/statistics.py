@@ -7,8 +7,9 @@ The paper evaluates schedulers with two metrics (§4.1):
   starvation-resistance ("fairness") metric of Teorey & Pinkerton [TP72] and
   Worthington et al. [WGP94]; lower is better.
 
-:class:`SimulationResult` carries the raw per-request records, but callers
-should prefer the summary accessors (:meth:`SimulationResult.percentiles`,
+:class:`SimulationResult` carries the raw per-request records (as a list,
+or as :class:`~repro.sim.batch.RecordBatch` columns), but callers should
+prefer the summary accessors (:meth:`SimulationResult.percentiles`,
 :meth:`SimulationResult.to_dict`, the mean/throughput properties) over
 iterating ``.records`` directly — the record list is an implementation
 detail that summary-level code should not depend on.
@@ -18,39 +19,120 @@ from __future__ import annotations
 
 import math
 import statistics as _stats
-from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Sequence
 
 from repro.sim.request import RequestRecord
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.batch import RecordBatch
 
-@dataclass
+_PHASES = (
+    "seek_x",
+    "seek_y",
+    "settle",
+    "rotational_latency",
+    "transfer",
+    "turnarounds",
+)
+
+
 class SimulationResult:
-    """All per-request records from one simulation run."""
+    """All per-request records from one simulation run.
 
-    records: List[RequestRecord] = field(default_factory=list)
-    end_time: float = 0.0
+    A result holds either a record list (what the engine builds) or a
+    :class:`~repro.sim.batch.RecordBatch` (what a fleet member hands back
+    across the worker boundary).  A column-backed result builds
+    :attr:`records` on first access and caches it; every summary reads the
+    same Python float sequences in the same order either way, so both
+    forms of one run report bit-identical statistics.
+    """
+
+    def __init__(
+        self,
+        records: Optional[List[RequestRecord]] = None,
+        end_time: float = 0.0,
+        *,
+        batch: Optional["RecordBatch"] = None,
+    ) -> None:
+        if records is not None and batch is not None:
+            raise ValueError("pass records or batch, not both")
+        if records is None and batch is None:
+            records = []
+        self._records = records
+        self.batch = batch
+        self.end_time = end_time
+
+    @property
+    def records(self) -> List[RequestRecord]:
+        """Per-request records, in completion order."""
+        if self._records is None:
+            assert self.batch is not None
+            self._records = self.batch.to_records()
+        return self._records
 
     def __len__(self) -> int:
-        return len(self.records)
+        if self.batch is not None:
+            return len(self.batch)
+        return len(self._records)
 
-    # -- response time ------------------------------------------------- #
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SimulationResult):
+            return NotImplemented
+        return self.end_time == other.end_time and self.records == other.records
+
+    def __repr__(self) -> str:
+        return f"SimulationResult({len(self)} records, end_time={self.end_time!r})"
+
+    def __getstate__(self) -> dict:
+        # A column-backed result ships its columns, never the record cache.
+        state = dict(self.__dict__)
+        state.pop("_response_cache", None)
+        if self.batch is not None:
+            state["_records"] = None
+        return state
+
+    # -- per-request values ---------------------------------------------- #
 
     def _response_time_values(self) -> tuple:
-        """Per-request response times, extracted once per record list.
+        """Per-request response times, extracted once per record source.
 
         Every response-time summary (mean, cv², max, percentiles) iterates
         the same values; ``to_dict`` alone needs them five times.  The
-        tuple is cached against the record list's identity and length, so
+        tuple is cached against the source's identity and length, so
         ``drop_warmup`` copies and post-run record appends both recompute.
         """
-        records = self.records
+        source: Any = self.batch if self.batch is not None else self._records
+        key = (id(source), len(source))
         cached = self.__dict__.get("_response_cache")
-        if cached is not None and cached[0] == (id(records), len(records)):
+        if cached is not None and cached[0] == key:
             return cached[1]
-        values = tuple(r.response_time for r in records)
-        self.__dict__["_response_cache"] = ((id(records), len(records)), values)
+        if self.batch is not None:
+            values = tuple((self.batch.completion - self.batch.arrival).tolist())
+        else:
+            values = tuple(r.response_time for r in source)
+        self.__dict__["_response_cache"] = (key, values)
         return values
+
+    def _service_time_values(self) -> Iterable[float]:
+        if self.batch is not None:
+            return (self.batch.completion - self.batch.dispatch).tolist()
+        return (r.service_time for r in self._records)
+
+    def _queue_time_values(self) -> Iterable[float]:
+        if self.batch is not None:
+            return (self.batch.dispatch - self.batch.arrival).tolist()
+        return (r.queue_time for r in self._records)
+
+    def _phase_values(self, phase: str) -> Iterable[float]:
+        if self.batch is not None:
+            return getattr(self.batch, phase).tolist()
+        return (getattr(record.access, phase) for record in self._records)
+
+    def _require_records(self) -> None:
+        if not len(self):
+            raise ValueError("no completed requests")
+
+    # -- response time ------------------------------------------------- #
 
     @property
     def response_times(self) -> List[float]:
@@ -59,8 +141,7 @@ class SimulationResult:
     @property
     def mean_response_time(self) -> float:
         """Average response time in seconds."""
-        if not self.records:
-            raise ValueError("no completed requests")
+        self._require_records()
         return _stats.fmean(self._response_time_values())
 
     @property
@@ -72,20 +153,17 @@ class SimulationResult:
 
     @property
     def mean_service_time(self) -> float:
-        if not self.records:
-            raise ValueError("no completed requests")
-        return _stats.fmean(r.service_time for r in self.records)
+        self._require_records()
+        return _stats.fmean(self._service_time_values())
 
     @property
     def mean_queue_time(self) -> float:
-        if not self.records:
-            raise ValueError("no completed requests")
-        return _stats.fmean(r.queue_time for r in self.records)
+        self._require_records()
+        return _stats.fmean(self._queue_time_values())
 
     @property
     def max_response_time(self) -> float:
-        if not self.records:
-            raise ValueError("no completed requests")
+        self._require_records()
         return max(self._response_time_values())
 
     def response_time_percentile(self, pct: float) -> float:
@@ -137,7 +215,7 @@ class SimulationResult:
         breakdown, so downstream code need not touch ``.records``.
         """
         return {
-            "completed": len(self.records),
+            "completed": len(self),
             "end_time_s": self.end_time,
             "mean_response_time_s": self.mean_response_time,
             "mean_service_time_s": self.mean_service_time,
@@ -155,14 +233,14 @@ class SimulationResult:
         """Completed requests per second of simulated time."""
         if self.end_time <= 0:
             raise ValueError("simulation ended at time zero")
-        return len(self.records) / self.end_time
+        return len(self) / self.end_time
 
     @property
     def utilization(self) -> float:
         """Fraction of the run the device spent servicing requests."""
         if self.end_time <= 0:
             raise ValueError("simulation ended at time zero")
-        busy = sum(record.service_time for record in self.records)
+        busy = sum(self._service_time_values())
         return busy / self.end_time
 
     def mean_phase_breakdown(self) -> dict:
@@ -171,22 +249,8 @@ class SimulationResult:
         Keys: ``seek_x``, ``seek_y``, ``settle``, ``rotational_latency``,
         ``transfer``, ``turnarounds`` — the AccessResult decomposition.
         """
-        if not self.records:
-            raise ValueError("no completed requests")
-        phases = (
-            "seek_x",
-            "seek_y",
-            "settle",
-            "rotational_latency",
-            "transfer",
-            "turnarounds",
-        )
-        return {
-            phase: _stats.fmean(
-                getattr(record.access, phase) for record in self.records
-            )
-            for phase in phases
-        }
+        self._require_records()
+        return {phase: _stats.fmean(self._phase_values(phase)) for phase in _PHASES}
 
     def drop_warmup(self, count: int) -> "SimulationResult":
         """Return a copy without the first ``count`` completed requests.
@@ -196,6 +260,10 @@ class SimulationResult:
         """
         if count < 0:
             raise ValueError(f"negative warmup count: {count}")
+        if self.batch is not None:
+            return SimulationResult(
+                batch=self.batch.take(slice(count, None)), end_time=self.end_time
+            )
         return SimulationResult(records=self.records[count:], end_time=self.end_time)
 
 
