@@ -29,6 +29,7 @@ from repro import (
 from repro.experiments import ALL_EXPERIMENTS, runner
 from repro.experiments.runner import run_experiments
 from repro.sim import QueueOverflowError
+from repro.validation import check_range
 
 
 def cmd_info(args: argparse.Namespace) -> int:
@@ -124,6 +125,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             if slos:
                 config = config.replace(slos=slos)
         else:
+            check_range("--requests", args.requests, ge=1)
             config = SimConfig(
                 device=args.device,
                 scheduler=args.scheduler,
@@ -137,6 +139,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 live_window=args.live_window,
                 slos=slos,
             )
+        # A warmup that drops every request leaves no statistics to print.
+        check_range("warmup", config.warmup, lt=config.num_requests)
         if config.live_enabled:
             # Hold the tracer ourselves so the aggregator's summary
             # survives the run.
@@ -194,7 +198,9 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             # The fleet file takes precedence over the uniform-fleet flags;
             # output flags (--trace/--jobs/--live-window/--slo) still apply.
             fleet = FleetConfig.from_dict(_load_config_json(args.config))
+            check_range("num_requests", fleet.num_requests, ge=1)
         else:
+            check_range("--requests", args.requests, ge=1)
             member = SimConfig(
                 device=args.device,
                 scheduler=args.scheduler,

@@ -7,8 +7,9 @@ Public surface:
   :class:`~repro.sim.request.RequestRecord` — request lifecycle types.
 * :class:`~repro.sim.device.StorageDevice` — device model interface.
 * :class:`~repro.sim.engine.Simulation`, :func:`~repro.sim.engine.simulate`,
-  :class:`~repro.sim.engine.SimulationObserver`,
-  :class:`~repro.sim.engine.QueueOverflowError` — the event loop.
+  :class:`~repro.sim.engine.QueueOverflowError` — the event loop: one
+  cursor over the arrival-sorted stream plus the device's single
+  outstanding completion, with tracing as hooks inside that loop.
 * :class:`~repro.sim.statistics.SimulationResult` — run metrics, over a
   record list or a columnar :class:`~repro.sim.batch.RecordBatch`.
 """
@@ -21,14 +22,7 @@ from repro.sim.batch import (
 )
 from repro.sim.config import DEVICES, SimConfig, WORKLOADS, make_device
 from repro.sim.device import StorageDevice
-from repro.sim.engine import (
-    EventKind,
-    EventQueue,
-    QueueOverflowError,
-    Simulation,
-    SimulationObserver,
-    simulate,
-)
+from repro.sim.engine import QueueOverflowError, Simulation, simulate
 from repro.sim.replication import ReplicationResult, replicate
 from repro.sim.request import SECTOR_BYTES, AccessResult, IOKind, Request, RequestRecord
 from repro.sim.statistics import SimulationResult, squared_coefficient_of_variation
@@ -37,8 +31,6 @@ __all__ = [
     "DEVICES",
     "SECTOR_BYTES",
     "AccessResult",
-    "EventKind",
-    "EventQueue",
     "IOKind",
     "QueueOverflowError",
     "RecordBatch",
@@ -48,7 +40,6 @@ __all__ = [
     "RequestRecord",
     "SimConfig",
     "Simulation",
-    "SimulationObserver",
     "SimulationResult",
     "StorageDevice",
     "WORKLOADS",

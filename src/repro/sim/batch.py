@@ -149,6 +149,26 @@ class RequestBatch:
 
     # -- validation ---------------------------------------------------------- #
 
+    def _invalid_rows(self) -> Any:
+        """Mask of rows that break a :class:`~repro.sim.request.Request`
+        invariant (non-finite or negative arrival, negative lbn, empty)."""
+        np = get_numpy()
+        return (
+            ~((self.arrival >= 0.0) & (self.arrival < np.inf))
+            | (self.lbn < 0)
+            | (self.sectors < 1)
+        )
+
+    def _row_request(self, row: int) -> Request:
+        """Row ``row`` through the validating scalar constructor."""
+        return Request(
+            arrival_time=float(self.arrival[row]),
+            lbn=int(self.lbn[row]),
+            sectors=int(self.sectors[row]),
+            kind=IOKind.WRITE if self.is_write[row] else IOKind.READ,
+            request_id=int(self.rid[row]),
+        )
+
     def validate(self, capacity_sectors: int) -> None:
         """Bulk twin of per-request validation: one array pass, same errors.
 
@@ -161,22 +181,10 @@ class RequestBatch:
         np = get_numpy()
         if len(self) == 0:
             return
-        bad = (
-            ~((self.arrival >= 0.0) & (self.arrival < np.inf))
-            | (self.lbn < 0)
-            | (self.sectors < 1)
-            | (self.lbn + self.sectors > capacity_sectors)
-        )
+        bad = self._invalid_rows() | (self.lbn + self.sectors > capacity_sectors)
         if not bool(np.any(bad)):
             return
-        row = int(np.argmax(bad))
-        request = Request(
-            arrival_time=float(self.arrival[row]),
-            lbn=int(self.lbn[row]),
-            sectors=int(self.sectors[row]),
-            kind=IOKind.WRITE if self.is_write[row] else IOKind.READ,
-            request_id=int(self.rid[row]),
-        )
+        request = self._row_request(int(np.argmax(bad)))
         if request.last_lbn >= capacity_sectors:
             raise ValueError(
                 f"request [{request.lbn}, {request.last_lbn}] exceeds device "
@@ -189,19 +197,22 @@ class RequestBatch:
     def to_requests(self) -> List[Request]:
         """Materialize the batch as :class:`Request` objects, row order.
 
-        ``tolist()`` converts each column to Python scalars in one C pass,
-        so the per-row work is just the dataclass constructor — the objects
-        are indistinguishable from ones a scalar generator built.
+        The ``Request`` invariants are checked in one array pass; a bad row
+        goes through the scalar constructor, so it raises that
+        constructor's exact message.  The checked rows are then built
+        through ``tuple.__new__``, the C-level constructor that skips the
+        validating ``__new__`` — the objects are indistinguishable from
+        ones a scalar generator built.
         """
+        np = get_numpy()
+        bad = self._invalid_rows()
+        if bool(np.any(bad)):
+            self._row_request(int(np.argmax(bad)))
+            raise AssertionError("bulk validation flagged a valid row")
         read, write = IOKind.READ, IOKind.WRITE
+        new = tuple.__new__
         return [
-            Request(
-                arrival_time=arrival,
-                lbn=lbn,
-                sectors=sectors,
-                kind=write if is_write else read,
-                request_id=rid,
-            )
+            new(Request, (arrival, lbn, sectors, write if is_write else read, rid))
             for arrival, lbn, sectors, is_write, rid in zip(
                 self.arrival.tolist(),
                 self.lbn.tolist(),

@@ -170,6 +170,7 @@ class SimulationResult:
         """Linear-interpolated percentile of response time (0 < pct <= 100)."""
         if not 0 < pct <= 100:
             raise ValueError(f"percentile out of range: {pct}")
+        self._require_records()
         ordered = sorted(self._response_time_values())
         if len(ordered) == 1:
             return ordered[0]
@@ -191,6 +192,7 @@ class SimulationResult:
         """
         if not pcts:
             pcts = (50.0, 95.0, 99.0)
+        self._require_records()
         ordered = sorted(self._response_time_values())
         out = {}
         for pct in pcts:

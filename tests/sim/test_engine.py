@@ -1,21 +1,30 @@
 """Unit tests for the discrete-event engine, using a deterministic stub
-device so timings are exactly predictable."""
+device so timings are exactly predictable, plus a property test that pins
+the production cursor loop to the heap-calendar spec in
+:mod:`tests.sim.reference_engine` on the real device models."""
+
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.scheduling import FCFSScheduler
+from repro.core.scheduling import FCFSScheduler, make_scheduler
+from repro.obs.tracer import RingBufferTracer
 from repro.sim import (
     AccessResult,
-    EventKind,
-    EventQueue,
     IOKind,
     QueueOverflowError,
     Request,
+    RequestBatch,
     Simulation,
-    SimulationObserver,
     StorageDevice,
+    make_device,
     simulate,
 )
+
+from .reference_engine import ReferenceSimulation
+from .reference_engine import TestEventQueue  # noqa: F401 - collected here
 
 
 class ConstantDevice(StorageDevice):
@@ -46,38 +55,6 @@ class ConstantDevice(StorageDevice):
 
 def req(arrival, lbn=0, rid=0):
     return Request(arrival, lbn=lbn, sectors=1, kind=IOKind.READ, request_id=rid)
-
-
-class TestEventQueue:
-    def test_time_ordering(self):
-        queue = EventQueue()
-        queue.push(2.0, EventKind.ARRIVAL, "b")
-        queue.push(1.0, EventKind.ARRIVAL, "a")
-        assert queue.pop().payload == "a"
-        assert queue.pop().payload == "b"
-
-    def test_completion_before_arrival_at_same_time(self):
-        queue = EventQueue()
-        queue.push(1.0, EventKind.ARRIVAL, "arrival")
-        queue.push(1.0, EventKind.COMPLETION, "completion")
-        assert queue.pop().payload == "completion"
-
-    def test_fifo_among_equal_events(self):
-        queue = EventQueue()
-        queue.push(1.0, EventKind.ARRIVAL, "first")
-        queue.push(1.0, EventKind.ARRIVAL, "second")
-        assert queue.pop().payload == "first"
-
-    def test_negative_time_rejected(self):
-        queue = EventQueue()
-        with pytest.raises(ValueError):
-            queue.push(-1.0, EventKind.ARRIVAL, None)
-
-    def test_len_and_bool(self):
-        queue = EventQueue()
-        assert not queue
-        queue.push(0.0, EventKind.ARRIVAL, None)
-        assert queue and len(queue) == 1
 
 
 class TestSimulation:
@@ -134,51 +111,138 @@ class TestSimulation:
         assert result.end_time == pytest.approx(0.25)
 
 
-class RecordingObserver(SimulationObserver):
-    def __init__(self):
-        self.events = []
-
-    def on_dispatch(self, time, record):
-        self.events.append(("dispatch", time))
-
-    def on_complete(self, time, record):
-        self.events.append(("complete", time))
-
-    def on_idle(self, time):
-        self.events.append(("idle", time))
-
-    def on_end(self, time):
-        self.events.append(("end", time))
+def lifecycle(requests, service_time=1.0):
+    """``(kind, t)`` of every dispatch, completion and the end of a run."""
+    tracer = RingBufferTracer()
+    Simulation(
+        ConstantDevice(service_time=service_time), FCFSScheduler(), tracer=tracer
+    ).run(requests)
+    return [
+        (event["kind"], event["t"])
+        for event in tracer.events
+        if event["kind"] in ("sim.dispatch", "sim.complete", "sim.end")
+    ]
 
 
 class TestObservers:
+    """A run's lifecycle as its tracer observes it."""
+
     def test_observer_sequence(self):
-        device = ConstantDevice(service_time=1.0)
-        observer = RecordingObserver()
-        simulate(
-            device,
-            FCFSScheduler(),
-            [req(0.0, rid=0), req(0.2, lbn=1, rid=1)],
-            observers=[observer],
-        )
-        kinds = [kind for kind, _ in observer.events]
-        assert kinds == [
-            "dispatch",
-            "complete",
-            "dispatch",
-            "complete",
-            "idle",
-            "end",
+        events = lifecycle([req(0.0, rid=0), req(0.2, lbn=1, rid=1)])
+        assert events == [
+            ("sim.dispatch", 0.0),
+            ("sim.complete", 1.0),
+            ("sim.dispatch", 1.0),
+            ("sim.complete", 2.0),
+            ("sim.end", 2.0),
         ]
 
     def test_idle_only_when_queue_empty(self):
-        device = ConstantDevice(service_time=1.0)
-        observer = RecordingObserver()
-        simulate(
-            device,
-            FCFSScheduler(),
-            [req(0.0, rid=0), req(0.1, lbn=1, rid=1)],
-            observers=[observer],
+        # The device goes idle at a completion that no dispatch follows.
+        events = lifecycle([req(0.0, rid=0), req(0.1, lbn=1, rid=1)])
+        idles = [
+            event
+            for event, following in zip(events, events[1:])
+            if event[0] == "sim.complete" and following[0] != "sim.dispatch"
+        ]
+        assert idles == [("sim.complete", 2.0)]
+
+
+STACKS = [
+    (device, scheduler)
+    for device in ("mems", "atlas10k")
+    for scheduler in ("FCFS", "C-LOOK", "SPTF")
+]
+
+
+def run_engine(engine, stack, requests, max_queue_depth=None, traced=False):
+    """One run of ``engine`` on a fresh stack: everything observable."""
+    device_name, scheduler_name = stack
+    device = make_device(device_name)
+    tracer = RingBufferTracer() if traced else None
+    sim = engine(
+        device,
+        make_scheduler(scheduler_name, device),
+        max_queue_depth=max_queue_depth,
+        tracer=tracer,
+    )
+    try:
+        result = sim.run(requests)
+        outcome = ("ok", result.records, result.end_time)
+    except QueueOverflowError as exc:
+        pending = sorted(r.request_id for r in sim.scheduler.pending())
+        outcome = ("overflow", str(exc), pending)
+    return outcome, sim.now, tracer.events if traced else None
+
+
+@st.composite
+def tied_streams(draw):
+    """A stack and a sorted request list whose arrivals tie with each other
+    (zero gaps) and with completion instants of the stream's own run."""
+    stack = draw(st.sampled_from(STACKS))
+    capacity = make_device(stack[0]).capacity_sectors
+    count = draw(st.integers(1, 30))
+    gap = st.one_of(st.just(0.0), st.floats(0.0, 0.02))
+    rids = draw(st.permutations(range(count)))
+    requests = []
+    now = 0.0
+    for rid in rids:
+        now += draw(gap)
+        sectors = draw(st.integers(1, 64))
+        requests.append(
+            Request(
+                now,
+                lbn=int(draw(st.floats(0.0, 1.0, exclude_max=True))
+                        * (capacity - sectors)),
+                sectors=sectors,
+                kind=draw(st.sampled_from(IOKind)),
+                request_id=rid,
+            )
         )
-        idles = [e for e in observer.events if e[0] == "idle"]
-        assert len(idles) == 1
+    # Completions before the earliest extra arrival are unchanged by it,
+    # so that arrival lands exactly on a completion instant of its run.
+    (_, records, _), _, _ = run_engine(ReferenceSimulation, stack, requests)
+    instants = draw(
+        st.lists(st.sampled_from(records), max_size=3, unique_by=id)
+    )
+    for offset, record in enumerate(instants):
+        requests.append(
+            Request(
+                record.completion_time,
+                lbn=record.request.lbn,
+                sectors=record.request.sectors,
+                kind=IOKind.READ,
+                request_id=count + offset,
+            )
+        )
+    requests.sort(key=lambda r: (r.arrival_time, r.request_id))
+    return stack, requests
+
+
+class TestAgainstReference:
+    """The cursor loop is observationally the heap-calendar spec."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        stream=tied_streams(),
+        form=st.sampled_from(["sorted", "shuffled", "batch", "shuffled-batch"]),
+        shuffle_seed=st.integers(0, 2**32 - 1),
+        max_queue_depth=st.one_of(st.none(), st.integers(1, 8)),
+        traced=st.booleans(),
+    )
+    def test_identical_observables(
+        self, stream, form, shuffle_seed, max_queue_depth, traced
+    ):
+        stack, requests = stream
+        requests = list(requests)
+        if form.startswith("shuffled"):
+            random.Random(shuffle_seed).shuffle(requests)
+        if form.endswith("batch"):
+            requests = RequestBatch.from_requests(requests)
+        production = run_engine(
+            Simulation, stack, requests, max_queue_depth, traced
+        )
+        reference = run_engine(
+            ReferenceSimulation, stack, requests, max_queue_depth, traced
+        )
+        assert production == reference

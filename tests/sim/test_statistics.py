@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from repro.sim import (
     AccessResult,
     IOKind,
+    RecordBatch,
     Request,
     RequestRecord,
     SimulationResult,
@@ -48,6 +49,18 @@ class TestResponseTimeStats:
         result = SimulationResult()
         with pytest.raises(ValueError):
             _ = result.mean_response_time
+
+    @pytest.mark.parametrize("columnar", [False, True])
+    def test_empty_result_percentiles_raise(self, columnar):
+        result = (
+            SimulationResult(batch=RecordBatch.concatenate([]))
+            if columnar
+            else SimulationResult()
+        )
+        with pytest.raises(ValueError, match="no completed requests"):
+            result.percentiles()
+        with pytest.raises(ValueError, match="no completed requests"):
+            result.response_time_percentile(95)
 
     def test_max_response_time(self):
         result = make_result([1.0, 9.0, 4.0])

@@ -271,3 +271,39 @@ class TestFleetCommand:
         path.write_text('{"members": [{}], "routr": "hash"}')
         assert main(["fleet", "--config", str(path)]) == 2
         assert "did you mean 'router'" in capsys.readouterr().err
+
+
+class TestEmptyRuns:
+    """A run with no reported requests is rejected up front (exit 2)."""
+
+    @pytest.mark.parametrize("requests", ["0", "-5"])
+    def test_simulate_needs_a_request(self, requests, capsys):
+        assert main(["simulate", "--requests", requests]) == 2
+        assert "--requests must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("requests", ["0", "-5"])
+    def test_fleet_needs_a_request(self, requests, capsys):
+        code = main(["fleet", "--members", "2", "--requests", requests])
+        assert code == 2
+        assert "--requests must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("warmup", [100, 150])
+    def test_config_warmup_must_leave_requests(self, warmup, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps({"num_requests": 100, "warmup": warmup}))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert "warmup must be < 100" in capsys.readouterr().err
+
+    def test_fleet_config_needs_a_request(self, tmp_path, capsys):
+        import json
+
+        from repro.fleet import FleetConfig
+
+        path = tmp_path / "fleet.json"
+        path.write_text(
+            json.dumps(FleetConfig.uniform(2, num_requests=0).to_dict())
+        )
+        assert main(["fleet", "--config", str(path)]) == 2
+        assert "num_requests must be >= 1" in capsys.readouterr().err

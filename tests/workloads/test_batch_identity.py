@@ -21,6 +21,7 @@ import pytest
 from repro.fleet.routing import ROUTERS
 from repro.nputil import get_numpy
 from repro.sim.batch import RequestBatch
+from repro.sim.request import IOKind, Request
 from repro.workloads.cello import CelloLikeWorkload
 from repro.workloads.synthetic import (
     RandomWorkload,
@@ -189,3 +190,24 @@ class TestBatchRoundTrip:
         requests = workload.generate(COUNT)
         batch = RequestBatch.from_requests(requests)
         assert batch.to_requests() == requests
+
+    @pytest.mark.parametrize(
+        "arrival, lbn, sectors",
+        [(float("nan"), 0, 1), (float("inf"), 0, 1), (-1.0, 0, 1),
+         (0.5, -3, 1), (0.5, 0, 0)],
+    )
+    def test_bad_row_raises_the_scalar_message(self, arrival, lbn, sectors):
+        with pytest.raises(ValueError) as scalar:
+            Request(arrival, lbn=lbn, sectors=sectors, kind=IOKind.READ,
+                    request_id=1)
+        batch = RequestBatch(
+            arrival=[0.0, arrival, 1.0],
+            lbn=[0, lbn, 0],
+            sectors=[1, sectors, 1],
+            is_write=[False, False, False],
+            rid=[0, 1, 2],
+        )
+        for materialize in (batch.to_requests, lambda: batch.validate(10**6)):
+            with pytest.raises(ValueError) as bulk:
+                materialize()
+            assert str(bulk.value) == str(scalar.value)
