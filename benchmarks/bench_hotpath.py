@@ -4,32 +4,33 @@ Three measurements, emitted as machine-readable JSON (``BENCH_hotpath.json``
 at the repo root) so regressions are diffable across commits:
 
 * **SPTF dispatch** at fixed queue depths 16/64/256 — a steady-state
-  pop/service/refill loop, timed with the geometry/profile/estimate caches
-  on versus the uncached baseline (``MEMSDevice(memoize=False)`` +
-  ``SPTFScheduler(cache=False)``, which reproduces the pre-optimization
-  hot path).  Both legs use the full scan (``prune=False``) so the rows
-  isolate the caching layers; the dispatch order is asserted identical
-  between the two.
-* **Pruned SPTF dispatch** at depths 16/64/256/1024 — the lower-bound
-  bucket walk (``prune=True``, the production default) against the cached
-  full scan, with the priced/pruned candidate split read back from the
-  scheduler's telemetry counters.  The dispatch order is asserted
-  bit-identical, and at depth >= 64 the pruned leg must price strictly
-  fewer candidates than it had pending.
-* **Adaptive SPTF dispatch** at depths spanning the ``prune='auto'``
-  regimes (scalar scan <= 8, vectorized screen, pruned walk) — the
-  production default against the cached full scan, with the fast path(s)
-  taken read back from ``sched.dispatch`` telemetry and the dispatch order
-  asserted bit-identical.
+  pop/service/refill loop, timed with the device's geometry/profile memos
+  on versus off (``MEMSDevice(memoize=False)``, which reproduces the
+  pre-optimization hot path).  Both legs hold the production selector on
+  its plain scan (``scan_at_every_depth``) so the rows isolate the device
+  memos; the dispatch order is asserted identical between the two.
+* **Pruned SPTF dispatch** at depths 16/64/256/1024 — the production
+  selector with the lower-bound bucket walk serving every selection
+  (``pruned_walk_at_every_depth``) against the plain scan, with the
+  priced/pruned candidate split summed from the scheduler's per-selection
+  ``last_priced``.  The dispatch order is asserted bit-identical, and at
+  depth >= 64 the pruned leg must price strictly fewer candidates than it
+  had pending.
+* **Adaptive SPTF dispatch** at depths spanning the selector's regimes
+  (scalar scan <= 8, vectorized screen, pruned walk) — the production
+  default against the plain scan, with the fast path(s) taken read back
+  from ``sched.dispatch`` telemetry and the dispatch order asserted
+  bit-identical.
 * **End-to-end throughput** — one whole SPTF simulation at the sweep's
   heaviest rate, reported as events/second against the pinned
   ``END_TO_END_MIN_EVENTS_PER_S`` floor (asserted in the smoke test).
 * **Figure-6 sweep wall-clock** — the end-to-end scheduler-comparison sweep
   run sequentially and with ``jobs=N`` through the process-pool sweep
-  layer, plus the SPTF-only sweep against the uncached baseline.  Sweep
-  results are asserted equal between the legs; on a single-core host the
-  parallel leg is skipped (it would rerun the sequential path and report
-  timing jitter as a speedup) and the sequential timing is reused.
+  layer, plus the SPTF-only sweep against the unmemoized scan baseline.
+  Sweep results are asserted equal between the legs; on a single-core
+  host the parallel leg is skipped (it would rerun the sequential path
+  and report timing jitter as a speedup) and the sequential timing is
+  reused.
 
 Plus four guards that ride along: **tracing overhead** (null / ring /
 JSONL sinks on the dispatch loop — tracing must never change scheduling),
@@ -57,6 +58,7 @@ instead of thrashing.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import pathlib
 import platform
@@ -79,30 +81,60 @@ def _make_device(memoize: bool):
     return MEMSDevice(memoize=memoize)
 
 
-def dispatch_loop(
-    depth: int,
-    dispatches: int,
-    memoize: bool,
-    cache: bool,
-    prune: bool = False,
-    tracer=None,
-):
+@contextlib.contextmanager
+def _selector_thresholds(vectorized: int, pruned: int):
+    """Move the SPTF selector's depth thresholds, restoring them after."""
+    from repro.core.scheduling import sptf
+
+    saved = sptf.VECTORIZED_DEPTH_THRESHOLD, sptf.PRUNED_DEPTH_THRESHOLD
+    sptf.VECTORIZED_DEPTH_THRESHOLD = vectorized
+    sptf.PRUNED_DEPTH_THRESHOLD = pruned
+    try:
+        yield
+    finally:
+        sptf.VECTORIZED_DEPTH_THRESHOLD, sptf.PRUNED_DEPTH_THRESHOLD = saved
+
+
+def scan_at_every_depth():
+    """Hold the production SPTF selector on its plain scan at every depth.
+
+    This is the pre-optimization baseline: every multi-candidate selection
+    prices the whole queue (a single candidate is still taken unpriced),
+    so the rows can report what the depth-adaptive paths save.
+    """
+    return _selector_thresholds(10**9, 10**9)
+
+
+def pruned_walk_at_every_depth():
+    """Serve every multi-candidate SPTF selection from the pruned walk.
+
+    Production takes the walk only above ``PRUNED_DEPTH_THRESHOLD``; the
+    ``sptf_pruned`` rows measure the walk itself at shallower depths too,
+    which is what sets that threshold.
+    """
+    from repro.core.scheduling import sptf
+
+    return _selector_thresholds(sptf.VECTORIZED_DEPTH_THRESHOLD, 1)
+
+
+def dispatch_loop(depth: int, dispatches: int, memoize: bool, tracer=None):
     """Steady-state SPTF dispatch at constant queue depth.
 
     Pops the scheduler's choice, services it, and refills the queue from a
     seeded request stream, so every dispatch selects among exactly
-    ``depth`` pending requests (the full scan prices all of them; the
-    ``prune=True`` walk prices a subset).  ``tracer`` optionally attaches
-    an obs sink to the device and scheduler (the engine-less analogue of
-    what ``Simulation`` does).  Returns (seconds, dispatch order as LBNs,
-    scheduler) — the scheduler exposes the cumulative pricing counters.
+    ``depth`` pending requests with the production :class:`SPTFScheduler`
+    (run it under :func:`scan_at_every_depth` for the baseline that prices
+    all of them).  ``tracer`` optionally attaches an obs sink to the
+    device and scheduler (the engine-less analogue of what ``Simulation``
+    does).  Returns (seconds, dispatch order as LBNs, candidates priced
+    summed over every dispatch).
     """
     from repro.core.scheduling.sptf import SPTFScheduler
     from repro.sim.request import IOKind, Request
 
     rng = random.Random(20260806)
     device = _make_device(memoize)
-    scheduler = SPTFScheduler(device, cache=cache, prune=prune)
+    scheduler = SPTFScheduler(device)
     if tracer is not None:
         device.tracer = tracer
         scheduler.tracer = tracer
@@ -117,31 +149,34 @@ def dispatch_loop(
         scheduler.add(fresh_request(index))
 
     order = []
+    priced = 0
     now = 0.0
     start = time.perf_counter()
     for index in range(dispatches):
         request = scheduler.pop_next(now)
+        priced += scheduler.last_priced
         order.append(request.lbn)
         now += device.service(request, now).total
         scheduler.add(fresh_request(depth + index))
     elapsed = time.perf_counter() - start
-    return elapsed, order, scheduler
+    return elapsed, order, priced
 
 
 def bench_dispatch(depth: int, dispatches: int, repeats: int) -> dict:
     cached_best = uncached_best = float("inf")
     cached_order = uncached_order = None
-    for _ in range(repeats):
-        seconds, order, _ = dispatch_loop(depth, dispatches, True, True)
-        cached_best = min(cached_best, seconds)
-        cached_order = order
-        seconds, order, _ = dispatch_loop(depth, dispatches, False, False)
-        uncached_best = min(uncached_best, seconds)
-        uncached_order = order
+    with scan_at_every_depth():
+        for _ in range(repeats):
+            seconds, order, _ = dispatch_loop(depth, dispatches, True)
+            cached_best = min(cached_best, seconds)
+            cached_order = order
+            seconds, order, _ = dispatch_loop(depth, dispatches, False)
+            uncached_best = min(uncached_best, seconds)
+            uncached_order = order
     if cached_order != uncached_order:
         raise AssertionError(
-            f"dispatch order diverged at depth {depth}: caches changed "
-            f"the SPTF selection"
+            f"dispatch order diverged at depth {depth}: device memos "
+            f"changed the SPTF selection"
         )
     return {
         "depth": depth,
@@ -153,26 +188,24 @@ def bench_dispatch(depth: int, dispatches: int, repeats: int) -> dict:
 
 
 def bench_pruned(depth: int, dispatches: int, repeats: int) -> dict:
-    """Lower-bound-pruned selection against the cached full scan.
+    """Lower-bound-pruned selection against the plain full scan.
 
-    Both legs run the caches-on configuration, so the row isolates the
-    pruning walk itself.  The pruned scheduler's cumulative pricing
-    counters (every pricing is a cache hit or miss) give the fraction of
-    candidates whose exact estimate was ever consulted; the pruning is
-    only correct if the dispatch orders are bit-identical, which is
-    asserted every repeat.
+    Both legs run with the device memos on, so the row isolates the
+    pruning walk itself.  The walk's per-selection ``last_priced`` counts,
+    summed, give the fraction of candidates whose exact estimate was ever
+    consulted; the pruning is only correct if the dispatch orders are
+    bit-identical, which is asserted every repeat.
     """
     pruned_best = scan_best = float("inf")
-    pruned_sched = None
+    priced = 0
     for _ in range(repeats):
-        seconds, pruned_order, sched = dispatch_loop(
-            depth, dispatches, True, True, prune=True
-        )
+        with pruned_walk_at_every_depth():
+            seconds, pruned_order, priced = dispatch_loop(
+                depth, dispatches, True
+            )
         pruned_best = min(pruned_best, seconds)
-        pruned_sched = sched
-        seconds, scan_order, _ = dispatch_loop(
-            depth, dispatches, True, True, prune=False
-        )
+        with scan_at_every_depth():
+            seconds, scan_order, _ = dispatch_loop(depth, dispatches, True)
         scan_best = min(scan_best, seconds)
         if pruned_order != scan_order:
             raise AssertionError(
@@ -180,7 +213,6 @@ def bench_pruned(depth: int, dispatches: int, repeats: int) -> dict:
                 f"the SPTF selection"
             )
     candidates = depth * dispatches
-    priced = pruned_sched.cache_hits + pruned_sched.cache_misses
     if depth >= 64 and priced >= candidates:
         raise AssertionError(
             f"pruned SPTF priced {priced}/{candidates} candidates at depth "
@@ -200,7 +232,7 @@ def bench_pruned(depth: int, dispatches: int, repeats: int) -> dict:
 
 
 def bench_tracing(depth: int, dispatches: int, repeats: int) -> dict:
-    """Cost of the obs layer on the cached dispatch loop.
+    """Cost of the obs layer on the scan dispatch loop.
 
     Three legs: the default null tracer (``enabled`` is False, every
     emission site short-circuits), a live :class:`RingBufferTracer`, and a
@@ -214,30 +246,31 @@ def bench_tracing(depth: int, dispatches: int, repeats: int) -> dict:
 
     null_best = ring_best = jsonl_best = float("inf")
     null_order = ring_order = None
-    for _ in range(repeats):
-        seconds, null_order, _ = dispatch_loop(depth, dispatches, True, True)
-        null_best = min(null_best, seconds)
-        ring = RingBufferTracer(capacity=4096)
-        seconds, ring_order, _ = dispatch_loop(
-            depth, dispatches, True, True, tracer=ring
-        )
-        ring_best = min(ring_best, seconds)
-        fd, path = tempfile.mkstemp(suffix=".jsonl")
-        os.close(fd)
-        try:
-            jsonl = JsonlTracer(path)
-            seconds, jsonl_order, _ = dispatch_loop(
-                depth, dispatches, True, True, tracer=jsonl
+    with scan_at_every_depth():
+        for _ in range(repeats):
+            seconds, null_order, _ = dispatch_loop(depth, dispatches, True)
+            null_best = min(null_best, seconds)
+            ring = RingBufferTracer(capacity=4096)
+            seconds, ring_order, _ = dispatch_loop(
+                depth, dispatches, True, tracer=ring
             )
-            jsonl.close()
-        finally:
-            os.unlink(path)
-        jsonl_best = min(jsonl_best, seconds)
-        if not (null_order == ring_order == jsonl_order):
-            raise AssertionError(
-                f"dispatch order diverged at depth {depth}: tracing changed "
-                f"the SPTF selection"
-            )
+            ring_best = min(ring_best, seconds)
+            fd, path = tempfile.mkstemp(suffix=".jsonl")
+            os.close(fd)
+            try:
+                jsonl = JsonlTracer(path)
+                seconds, jsonl_order, _ = dispatch_loop(
+                    depth, dispatches, True, tracer=jsonl
+                )
+                jsonl.close()
+            finally:
+                os.unlink(path)
+            jsonl_best = min(jsonl_best, seconds)
+            if not (null_order == ring_order == jsonl_order):
+                raise AssertionError(
+                    f"dispatch order diverged at depth {depth}: tracing "
+                    f"changed the SPTF selection"
+                )
     return {
         "depth": depth,
         "dispatches": dispatches,
@@ -264,13 +297,15 @@ def _run_sweep(jobs, rates, algorithms, num_requests):
 
 
 def _run_sptf_sweep_uncached(rates, num_requests):
-    """SPTF-only sweep with every cache off — the seed-equivalent baseline.
+    """SPTF-only sweep with every optimization off — the seed-equivalent
+    baseline.
 
-    ``random_workload_sweep`` builds cached schedulers, so this mirrors its
-    per-point loop with ``SPTFScheduler(cache=False, prune="never")`` on an
-    uncached device.  ``prune="never"`` matters: the constructor default is
-    the adaptive ``"auto"``, which would hand the *baseline* the vectorized
-    and pruned fast paths and understate every speedup reported against it.
+    ``random_workload_sweep`` builds the production selector on memoized
+    devices, so this mirrors its per-point loop with the same selector
+    held on its scan (:func:`scan_at_every_depth`) on an unmemoized
+    device.  Holding the scan matters: otherwise the *baseline* would get
+    the vectorized and pruned fast paths and understate every speedup
+    reported against it.
     """
     from repro.core.scheduling.sptf import SPTFScheduler
     from repro.experiments.common import SweepPoint
@@ -279,22 +314,27 @@ def _run_sptf_sweep_uncached(rates, num_requests):
 
     points = []
     start = time.perf_counter()
-    for rate in rates:
-        device = _make_device(False)
-        workload = RandomWorkload(device.capacity_sectors, rate=rate, seed=42)
-        requests = workload.generate(num_requests)
-        scheduler = SPTFScheduler(device, cache=False, prune="never")
-        sim = Simulation(device, scheduler, max_queue_depth=4000)
-        try:
-            result = sim.run(requests).drop_warmup(200)
-        except QueueOverflowError:
-            points.append(SweepPoint(rate, None, None))
-            continue
-        points.append(
-            SweepPoint(
-                rate, result.mean_response_time, result.response_time_cv2
+    with scan_at_every_depth():
+        for rate in rates:
+            device = _make_device(False)
+            workload = RandomWorkload(
+                device.capacity_sectors, rate=rate, seed=42
             )
-        )
+            requests = workload.generate(num_requests)
+            scheduler = SPTFScheduler(device)
+            sim = Simulation(device, scheduler, max_queue_depth=4000)
+            try:
+                result = sim.run(requests).drop_warmup(200)
+            except QueueOverflowError:
+                points.append(SweepPoint(rate, None, None))
+                continue
+            points.append(
+                SweepPoint(
+                    rate,
+                    result.mean_response_time,
+                    result.response_time_cv2,
+                )
+            )
     return time.perf_counter() - start, points
 
 
@@ -334,7 +374,8 @@ def bench_sweep(jobs: int, rates, algorithms, num_requests: int) -> dict:
     baseline_s, baseline_points = _run_sptf_sweep_uncached(rates, num_requests)
     if baseline_points != sequential.series["SPTF"]:
         raise AssertionError(
-            "uncached-baseline SPTF sweep results differ from the cached sweep"
+            "plain-scan baseline SPTF sweep results differ from the "
+            "optimized sweep"
         )
     optimized_sptf_s, _ = _run_sptf_sweep_optimized(rates, num_requests)
     report = {
@@ -380,24 +421,25 @@ def _run_sptf_sweep_optimized(rates, num_requests):
 
 ADAPTIVE_DEPTHS = (4, 8, 16, 64, 128)
 """Queue depths for the adaptive-dispatch rows: one in each regime of the
-``prune='auto'`` policy (scalar scan, vectorized screen, pruned walk) plus
+depth-adaptive selector (scalar scan, vectorized screen, pruned walk) plus
 the two boundary depths."""
 
 
 def bench_adaptive(depth: int, dispatches: int, repeats: int) -> dict:
-    """Adaptive selection (``prune='auto'``, the default) vs the full scan.
+    """Adaptive selection (the production selector) vs the full scan.
 
-    Both legs run caches-on; the row isolates what the adaptive dispatch
-    adds over pricing every candidate.  A short traced warmup pass records
-    which fast path(s) the policy actually took at this depth (read back
-    from ``sched.dispatch`` telemetry); the timed legs run untraced.  The
-    dispatch orders are asserted bit-identical every repeat — the adaptive
-    paths must never change a selection.
+    Both legs run with the device memos on; the scan leg holds the same
+    selector on its scan (:func:`scan_at_every_depth`), so the row isolates
+    what the adaptive dispatch adds over pricing every candidate.  A short
+    traced warmup pass records which fast path(s) the policy actually took
+    at this depth (read back from ``sched.dispatch`` telemetry); the timed
+    legs run untraced.  The dispatch orders are asserted bit-identical
+    every repeat — the adaptive paths must never change a selection.
     """
     from repro.obs.tracer import RingBufferTracer
 
     tracer = RingBufferTracer(capacity=8192)
-    dispatch_loop(depth, 32, True, True, prune="auto", tracer=tracer)
+    dispatch_loop(depth, 32, True, tracer=tracer)
     fast_paths = sorted(
         {
             event["fast_path"]
@@ -406,23 +448,18 @@ def bench_adaptive(depth: int, dispatches: int, repeats: int) -> dict:
         }
     )
     adaptive_best = scan_best = float("inf")
-    adaptive_sched = None
+    priced = 0
     for _ in range(repeats):
-        seconds, adaptive_order, sched = dispatch_loop(
-            depth, dispatches, True, True, prune="auto"
-        )
+        seconds, adaptive_order, priced = dispatch_loop(depth, dispatches, True)
         adaptive_best = min(adaptive_best, seconds)
-        adaptive_sched = sched
-        seconds, scan_order, _ = dispatch_loop(
-            depth, dispatches, True, True, prune="never"
-        )
+        with scan_at_every_depth():
+            seconds, scan_order, _ = dispatch_loop(depth, dispatches, True)
         scan_best = min(scan_best, seconds)
         if adaptive_order != scan_order:
             raise AssertionError(
                 f"dispatch order diverged at depth {depth}: the adaptive "
                 f"fast path changed the SPTF selection"
             )
-    priced = adaptive_sched.cache_hits + adaptive_sched.cache_misses
     return {
         "depth": depth,
         "dispatches": dispatches,
@@ -444,7 +481,7 @@ engine's unit of work.  The optimized stack clears ~75k events/s on the
 single-core reference container; the floor leaves ~3x headroom for shared-
 host noise while still sitting far above what the pre-optimization hot
 path could reach (~10k events/s), so a regression that loses the adaptive
-dispatch or the pricing caches trips it.
+dispatch or the device memos trips it.
 """
 
 
@@ -1009,8 +1046,8 @@ def test_hotpath_smoke():
     assert sweep["sequential_s"] > 0
     assert sweep["speedup_sptf_vs_baseline"] >= 1.0, (
         f"optimized SPTF sweep ran {sweep['speedup_sptf_vs_baseline']:.2f}x "
-        f"the uncached prune='never' baseline — the adaptive dispatch or "
-        f"pricing caches regressed below break-even"
+        f"the unmemoized scan baseline — the adaptive dispatch or "
+        f"device memos regressed below break-even"
     )
     end_to_end = report["end_to_end"]
     assert end_to_end["events_per_s"] >= END_TO_END_MIN_EVENTS_PER_S, (
@@ -1080,8 +1117,9 @@ def test_null_tracer_overhead():
     if 16 not in by_depth:
         pytest.skip("baseline has no depth-16 dispatch row")
     base = by_depth[16]
-    timed, _, _ = dispatch_loop(16, base["dispatches"], True, True)
-    best = min(timed, dispatch_loop(16, base["dispatches"], True, True)[0])
+    with scan_at_every_depth():
+        timed, _, _ = dispatch_loop(16, base["dispatches"], True)
+        best = min(timed, dispatch_loop(16, base["dispatches"], True)[0])
     assert best < base["cached_s"] * 1.5, (
         f"null-tracer dispatch took {best:.4f}s vs baseline "
         f"{base['cached_s']:.4f}s (+50% margin) — tracing hooks likely "

@@ -100,7 +100,7 @@ class Scheduler(abc.ABC):
         tracer.emit(event)
 
     def _dispatch_telemetry(self) -> Dict[str, Any]:
-        """Extra fields for ``sched.dispatch`` events (e.g. cache counters)."""
+        """Extra fields for ``sched.dispatch`` events (e.g. pricing counts)."""
         return {}
 
 

@@ -14,25 +14,20 @@ Two variants are provided:
   its queue wait), trading a little average performance for starvation
   resistance.  Not in the paper; included as an ablation.
 
-Both variants memoize positioning estimates between dispatches: the device's
-mechanical state only changes when a request is dispatched (``pop_next``), so
-an estimate computed while the queue is stable stays valid until then.  The
-cache is invalidated on every dispatch and never changes which request is
-selected (see ``tests/core/scheduling/test_sptf_cache.py``); pass
-``cache=False`` to get the uncached reference behaviour.
+Both run one selector, **adaptive in queue depth**, with no options.  It
+serves each selection from one of three regimes, every one dispatching
+the *bit-identical* request the plain argmin scan would (the scan lives on
+as an executable spec in ``tests/core/scheduling/reference_sptf.py``):
 
-On top of the cache, selection is **adaptive in queue depth** (``prune``
-accepts ``'auto'`` — the default — ``'always'``, ``'never'``, or a bool for
-backwards compatibility).  Three selection fast paths exist, every one
-dispatching the *bit-identical* request sequence:
-
-* ``scan`` — the cached scalar scan.  Cheapest at the shallow depths that
-  dominate realistic open-arrival sweeps (a handful of pending requests),
-  where any array bookkeeping loses to a short Python loop.  A
-  single-candidate queue — the overwhelmingly common case in open-arrival
-  runs below saturation — short-circuits before pricing anything: the
-  argmin over one element needs no oracle call at all, and the dispatch
-  is reported with ``candidates_priced == 0``.
+* ``scan`` — price every candidate and keep the first minimum.  Cheapest
+  at the shallow depths that dominate realistic open-arrival sweeps (a
+  handful of pending requests), where any array bookkeeping loses to a
+  short Python loop.  A single-candidate queue — the overwhelmingly common
+  case in open-arrival runs below saturation — short-circuits before
+  pricing anything: the argmin over one element needs no oracle call at
+  all, and the dispatch is reported with ``candidates_priced == 0``.
+  Devices without the bound and batch-pricing oracles (test doubles) take
+  the scan at every depth.
 * ``vectorized`` — a per-candidate lower-bound screen (the same dense
   admissible table the pruned walk uses, discounted per candidate by its
   exact aging credit) selects the subset that could still win, and one
@@ -41,9 +36,7 @@ dispatching the *bit-identical* request sequence:
   score with the scan's strict-``<`` first-occurrence tie-break; unpriced
   candidates cannot win because their bound already exceeds an exact
   score (see ``_vectorized_select``).  Wins once the queue is deep enough
-  to amortize the screen (``VECTORIZED_DEPTH_THRESHOLD``).  On devices
-  with batch pricing but no bound oracle the screen degrades to pricing
-  every candidate.
+  to amortize the screen (``VECTORIZED_DEPTH_THRESHOLD``).
 * ``pruned`` — lower-bound pruning over cylinder buckets.  The selection
   walk visits buckets in increasing cylinder distance from the current
   sled/arm position and stops as soon as the next bucket's admissible lower
@@ -58,32 +51,33 @@ dispatching the *bit-identical* request sequence:
   sub-linear candidate visits beat even vectorized full pricing
   (``PRUNED_DEPTH_THRESHOLD``).
 
-``prune='auto'`` picks between the three per selection from the pending
-count; ``'always'`` forces the pruned walk (the pre-adaptive behaviour);
-``'never'`` forces the scan.  Every piece of adaptive bookkeeping is built
-lazily by the first selection that needs it: the bucket indexes on the
-first pruned walk, the cylinder shadow list and the device's lower-bound
-table on the first vectorized screen.  Runs that stay shallow pay nothing
-— no per-add cylinder lookups, no bound-table build, no per-dispatch
-bookkeeping beyond the depth check itself — which is what keeps ``auto``
-at parity with the plain scan at trivial depths (the
-``sptf_adaptive`` bench rows).  Which path served each dispatch is
-reported as ``fast_path`` in ``sched.dispatch`` trace events.
+Every piece of adaptive bookkeeping is built lazily by the first selection
+that needs it: the bucket indexes on the first pruned walk, the cylinder
+shadow list and the device's lower-bound table on the first vectorized
+screen.  Runs that stay shallow pay nothing — no per-add cylinder lookups,
+no bound-table build, no per-dispatch bookkeeping beyond the depth check
+itself — which is what keeps the selector at parity with the plain scan at
+trivial depths (the ``sptf_adaptive`` bench rows).  Nothing is memoized
+across selections: a selection prices each candidate at most once, and the
+dispatch that follows it changes the device state every estimate depends
+on.  Which regime served each dispatch is reported as ``fast_path`` in
+``sched.dispatch`` trace events, next to the oracle-call count
+``candidates_priced``.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, insort
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Set, Tuple
 
 from repro.core.scheduling.base import ListScheduler
-from repro.nputil import get_numpy
 from repro.sim.device import StorageDevice
 from repro.sim.request import Request
+from repro.validation import check_range
 
 VECTORIZED_DEPTH_THRESHOLD = 8
-"""Pending-queue depth above which ``prune='auto'`` batch-prices candidates.
+"""Pending-queue depth above which selection batch-prices candidates.
 
 Below this the per-call numpy overhead (array allocation, dispatch) loses
 to a plain Python scan over the handful of candidates; measured crossover
@@ -92,7 +86,7 @@ models (see ``benchmarks/bench_hotpath.py``, ``adaptive_depth`` section).
 """
 
 PRUNED_DEPTH_THRESHOLD = 64
-"""Pending-queue depth above which ``prune='auto'`` takes the pruned walk.
+"""Pending-queue depth above which selection takes the pruned walk.
 
 The bucket walk visits a sub-linear slice of deep queues, which beats even
 vectorized full pricing once the queue is wide enough for the lower bounds
@@ -107,31 +101,17 @@ dispatch) that a handful of scalar :meth:`estimate_positioning` calls —
 bitwise identical per element — undercuts.  Bound screening typically
 leaves only a few candidates alive, so most selections stay under this."""
 
-_PRUNE_MODES = ("auto", "always", "never")
-
-
-def _normalize_prune_mode(prune: Union[bool, str]) -> str:
-    """Map the ``prune`` argument (mode string or legacy bool) to a mode."""
-    if prune is True:
-        return "always"
-    if prune is False:
-        return "never"
-    if prune in _PRUNE_MODES:
-        return prune
-    raise ValueError(
-        f"unknown prune mode {prune!r}: expected 'auto', 'always', "
-        "'never', or a bool"
-    )
-
 
 def device_supports_pruning(device: StorageDevice) -> bool:
-    """True when ``device`` exposes the lower-bound pruning oracle.
+    """True when ``device`` exposes the oracles the deep-queue paths need.
 
-    The scheduler needs three pieces of narrow state: the dense
+    The scheduler needs four pieces of narrow state: the dense
     ``positioning_lower_bounds`` table, the bucket key for a request
-    (``request_cylinder``), and the current mechanical position
-    (``current_cylinder``).  Devices without them (or test doubles) fall
-    back to the plain full scan transparently.
+    (``request_cylinder``), the current mechanical position
+    (``current_cylinder``), and the vectorized pricing oracle
+    (``estimate_positioning_batch``).  Both real device models have all
+    four; devices without them (test doubles) take the plain full scan at
+    every depth.
 
     The bounds probe checks the *class* first: on the real devices
     ``positioning_lower_bounds`` is a lazily-built property, and reading it
@@ -145,73 +125,49 @@ def device_supports_pruning(device: StorageDevice) -> bool:
         bounds is not None
         and callable(getattr(device, "request_cylinder", None))
         and getattr(device, "current_cylinder", None) is not None
+        and callable(getattr(device, "estimate_positioning_batch", None))
     )
 
 
-def device_supports_batch_pricing(device: StorageDevice) -> bool:
-    """True when ``device`` exposes the vectorized pricing oracle."""
-    return callable(getattr(device, "estimate_positioning_batch", None))
+class _SPTFSelector(ListScheduler):
+    """The depth-adaptive argmin shared by both SPTF variants.
 
+    Selection minimizes ``estimate − age_weight · wait`` over the pending
+    queue; :class:`SPTFScheduler` is the ``age_weight = 0`` case.
 
-class _EstimateCachingScheduler(ListScheduler):
-    """Shared estimate-memoization and pruning plumbing for the SPTF variants.
-
-    The cache maps a pending request (by object identity — requests stay
-    alive in the queue, so ids are stable) to its predicted positioning time
-    for the device's *current* mechanical state.  It assumes the device
-    state mutates only via dispatches through this scheduler, which holds
-    for the simulation engine: ``device.service`` is called exactly once per
-    ``pop_next``.
-
-    With pruning enabled the scheduler additionally maintains, per pending
-    request, a cylinder-keyed bucket (insertion-ordered, so bucket order is
-    arrival order) and a monotone arrival sequence number.  The pending
-    list itself stays append-ordered, hence sorted by sequence number —
-    which lets the pruned walk recover the queue index of its winner with a
-    binary search instead of a linear scan.
+    Once the pruned walk has run, the scheduler additionally maintains, per
+    pending request, a cylinder-keyed bucket (insertion-ordered, so bucket
+    order is arrival order) and a monotone arrival sequence number.  The
+    pending list itself stays append-ordered, hence sorted by sequence
+    number — which lets the pruned walk recover the queue index of its
+    winner with a binary search instead of a linear scan.
     """
 
-    def __init__(
-        self,
-        device: StorageDevice,
-        cache: bool = True,
-        prune: Union[bool, str] = "auto",
-    ) -> None:
+    age_weight = 0.0
+
+    def __init__(self, device: StorageDevice) -> None:
         super().__init__()
         self._device = device
-        self._estimates: Optional[Dict[int, float]] = {} if cache else None
-        mode = _normalize_prune_mode(prune)
-        self._mode = mode
-        self._can_prune = mode != "never" and device_supports_pruning(device)
-        self._can_batch = mode == "auto" and device_supports_batch_pricing(
-            device
-        )
-        #: Cumulative estimate-cache hits/misses across the scheduler's
-        #: lifetime, maintained by bulk length deltas in ``select_index``
-        #: (never per-candidate work) and reported in ``sched.dispatch``
-        #: trace events.  With ``cache=False`` every pricing is a miss.
-        self.cache_hits = 0
-        self.cache_misses = 0
+        self._can_prune = device_supports_pruning(device)
         #: Telemetry for the most recent selection: how many requests were
-        #: pending, how many had their exact estimate consulted, and how
-        #: many were never priced.  ``candidates == priced + pruned``
-        #: always.  A single-candidate selection prices nothing (the
-        #: argmin is trivial), so it reports ``priced=0, pruned=1``;
-        #: otherwise without pruning ``pruned`` is 0.
+        #: pending, how many had their exact estimate consulted (oracle
+        #: calls), and how many were never priced.  ``candidates == priced
+        #: + pruned`` always.  A single-candidate selection prices nothing
+        #: (the argmin is trivial), so it reports ``priced=0, pruned=1``;
+        #: otherwise the scan reports ``pruned=0``.
         self.last_candidates = 0
         self.last_priced = 0
         self.last_pruned = 0
-        #: Which selection fast path served the most recent dispatch
+        #: Which selection regime served the most recent dispatch
         #: (``scan`` / ``vectorized`` / ``pruned``); reported as
         #: ``fast_path`` in ``sched.dispatch`` trace events.
         self.last_fast_path = "scan"
         # Pruning indexes (cylinder buckets + arrival sequence numbers).
-        # Maintained incrementally only once ``_indexed`` is set: in
-        # ``'always'`` mode from construction, in ``'auto'`` mode from the
+        # Maintained incrementally only once ``_indexed`` is set, from the
         # first selection deep enough to take the pruned walk — so runs
         # that never cross ``PRUNED_DEPTH_THRESHOLD`` pay no per-add
         # bookkeeping at all.
-        self._indexed = mode == "always" and self._can_prune
+        self._indexed = False
         self._buckets: Dict[int, List[Request]] = {}
         self._bucket_keys: List[int] = []
         self._arrival_seq: Dict[int, int] = {}
@@ -223,20 +179,11 @@ class _EstimateCachingScheduler(ListScheduler):
         # never pay the per-add ``request_cylinder`` call.
         self._cyls_live = False
         self._cyls: List[int] = []
-        # The device's bound table, captured the first time a deep
-        # selection reads it (the build is lazy and shared per parameter
-        # set) — runs that stay shallow never trigger it.
-        self._bounds_ref: Optional[Tuple[float, ...]] = None
 
     @property
     def prune_enabled(self) -> bool:
-        """Whether selection may use the lower-bound bucket walk."""
+        """Whether deep selections may use the bound-based paths."""
         return self._can_prune
-
-    @property
-    def prune_mode(self) -> str:
-        """The normalized adaptive mode (``auto`` / ``always`` / ``never``)."""
-        return self._mode
 
     def add(self, request: Request) -> None:
         super().add(request)
@@ -265,24 +212,63 @@ class _EstimateCachingScheduler(ListScheduler):
         request = queue.pop(index)
         if self._cyls_live:
             del self._cyls[index]
-        # Dispatching mutates the device's mechanical state, so every
-        # memoized estimate is stale from here on.
-        if self._estimates is not None:
-            self._estimates.clear()
         if self._indexed:
             self._forget(request)
         if self.tracer.enabled:
             self._trace_dispatch(now, candidates, request)
         return request
 
+    def select_index(self, now: float) -> int:
+        candidates = len(self._queue)
+        if candidates <= 1:
+            # The argmin over one candidate is that candidate: no oracle
+            # call.  Open-arrival runs below saturation spend most
+            # dispatches here, so this shortcut is the single biggest
+            # lever on the per-request pricing cost.
+            index, priced, path = 0, 0, "scan"
+        elif self._can_prune and candidates > PRUNED_DEPTH_THRESHOLD:
+            if not self._indexed:
+                self._build_indexes()
+            index, priced = self._pruned_select(now)
+            path = "pruned"
+        elif self._can_prune and candidates > VECTORIZED_DEPTH_THRESHOLD:
+            index, priced = self._vectorized_select(now)
+            path = "vectorized"
+        else:
+            index, priced, path = self._scan_select(now), candidates, "scan"
+        self.last_candidates = candidates
+        self.last_priced = priced
+        self.last_pruned = candidates - priced
+        self.last_fast_path = path
+        return index
+
+    def _scan_select(self, now: float) -> int:
+        """Price every candidate; first minimum score wins."""
+        estimate = self._device.estimate_positioning
+        age_weight = self.age_weight
+        best_index = 0
+        best_score = None
+        for index, request in enumerate(self._queue):
+            score = estimate(request, now)
+            if age_weight:
+                score -= age_weight * max(0.0, now - request.arrival_time)
+            if best_score is None or score < best_score:
+                best_score = score
+                best_index = index
+        return best_index
+
+    def _discount_cap(self, now: float) -> float:
+        """Upper bound on any pending candidate's aging credit."""
+        return 0.0
+
     def _build_indexes(self) -> None:
         """Build the pruning indexes from the current pending queue.
 
-        Called by the first selection that takes the pruned path in
-        ``'auto'`` mode.  The queue is append-ordered, so enumerating it
-        assigns arrival sequence numbers in arrival order — the same
-        numbering incremental maintenance would have produced — and from
-        here on ``add``/``pop_next`` keep the indexes current.
+        Called by the first selection that takes the pruned path.  The
+        queue is append-ordered, so enumerating it assigns arrival sequence
+        numbers in arrival order — the same numbering incremental
+        maintenance would have produced — and from here on
+        ``add``/``pop_next`` keep the indexes current.
         """
         request_cylinder = self._device.request_cylinder
         buckets = self._buckets
@@ -350,28 +336,27 @@ class _EstimateCachingScheduler(ListScheduler):
                 hi = mid
         return lo
 
-    def _pruned_select(
-        self, now: float, age_weight: float = 0.0, discount_cap: float = 0.0
-    ) -> Tuple[int, int]:
+    def _pruned_select(self, now: float) -> Tuple[int, int]:
         """Lower-bound-pruned argmin over the pending queue.
 
         Walks the cylinder buckets outward from the device's current
         cylinder (two pointers over the sorted key list, always expanding
         the nearer side) and prices candidates with the exact oracle.  The
         walk stops at the first bucket whose lower bound — discounted by
-        ``discount_cap``, an upper bound on any candidate's aging credit —
-        strictly exceeds the best exact score so far; the suffix-min
-        envelope of the bound table makes every remaining bucket at least
-        as expensive.  The strict ``>`` keeps equal-bound candidates alive,
-        so ties are settled by the same (score, arrival) order as the naive
-        scan and the selected request is bit-identical.
+        :meth:`_discount_cap`, an upper bound on any candidate's aging
+        credit — strictly exceeds the best exact score so far; the
+        suffix-min envelope of the bound table makes every remaining bucket
+        at least as expensive.  The strict ``>`` keeps equal-bound
+        candidates alive, so ties are settled by the same (score, arrival)
+        order as the naive scan and the selected request is bit-identical.
 
         Returns ``(queue_index, candidates_priced)``.
         """
         device = self._device
         estimate = device.estimate_positioning
-        cache = self._estimates
-        bounds = self._bounds_ref = device.positioning_lower_bounds
+        age_weight = self.age_weight
+        discount_cap = self._discount_cap(now)
+        bounds = device.positioning_lower_bounds
         keys = self._bucket_keys
         buckets = self._buckets
         seq_of = self._arrival_seq
@@ -398,34 +383,24 @@ class _EstimateCachingScheduler(ListScheduler):
                 break
             key = keys[left] if take_left else keys[right]
             for request in buckets[key]:
-                rid = id(request)
-                if cache is None:
-                    predicted = estimate(request, now)
-                else:
-                    predicted = cache.get(rid)
-                    if predicted is None:
-                        predicted = cache[rid] = estimate(request, now)
+                score = estimate(request, now)
                 priced += 1
                 if age_weight:
-                    score = predicted - age_weight * max(
-                        0.0, now - request.arrival_time
-                    )
-                else:
-                    score = predicted
+                    score -= age_weight * max(0.0, now - request.arrival_time)
                 if best_seq < 0 or score < best_score:
                     best_score = score
-                    best_seq = seq_of[rid]
-                elif score == best_score and seq_of[rid] < best_seq:
-                    best_seq = seq_of[rid]
+                    best_seq = seq_of[id(request)]
+                elif score == best_score:
+                    seq = seq_of[id(request)]
+                    if seq < best_seq:
+                        best_seq = seq
             if take_left:
                 left -= 1
             else:
                 right += 1
         return self._queue_index_of_seq(best_seq), priced
 
-    def _vectorized_select(
-        self, now: float, age_weight: float = 0.0
-    ) -> Tuple[int, int]:
+    def _vectorized_select(self, now: float) -> Tuple[int, int]:
         """Bound-screened batch-priced argmin over the pending queue.
 
         Selection runs in three steps, returning ``(queue_index, priced)``:
@@ -451,23 +426,14 @@ class _EstimateCachingScheduler(ListScheduler):
         every candidate that could equal the minimum has a bound at or
         below it and therefore was priced (per-element estimate equality
         is pinned by ``tests/core/scheduling/test_batch_identity.py``).
-        Priced results are folded into the estimate cache, keeping repeat
-        selections against an unchanged device state consistent with the
-        scalar paths.
-
-        On devices without the bound oracle the screen is skipped and the
-        whole queue is batch-priced (``numpy.argmin``'s first-occurrence
-        rule supplies the same tie-break).
         """
         queue = self._queue
-        cache = self._estimates
         device = self._device
         estimate = device.estimate_positioning
-        if not self._can_prune:
-            return self._batch_all_select(now, age_weight)
+        age_weight = self.age_weight
         if not self._cyls_live:
             self._ensure_cyls()
-        bounds = self._bounds_ref = device.positioning_lower_bounds
+        bounds = device.positioning_lower_bounds
         current = device.current_cylinder
         bound_list = []
         bound_append = bound_list.append
@@ -487,18 +453,11 @@ class _EstimateCachingScheduler(ListScheduler):
                 best_bound = bound
                 seed = index
         seed_request = queue[seed]
-        if cache is None:
-            predicted = estimate(seed_request, now)
-        else:
-            rid = id(seed_request)
-            predicted = cache.get(rid)
-            if predicted is None:
-                predicted = cache[rid] = estimate(seed_request, now)
+        best_score = estimate(seed_request, now)
         if age_weight:
-            wait = max(0.0, now - seed_request.arrival_time)
-            best_score = predicted - age_weight * wait
-        else:
-            best_score = predicted
+            best_score -= age_weight * max(
+                0.0, now - seed_request.arrival_time
+            )
         survivors = [
             index
             for index, bound in enumerate(bound_list)
@@ -520,23 +479,12 @@ class _EstimateCachingScheduler(ListScheduler):
                 if bound_list[index] > best_score:
                     continue
                 request = queue[index]
-                if cache is None:
-                    value = estimate(request, now)
-                else:
-                    rid = id(request)
-                    value = cache.get(rid)
-                    if value is None:
-                        value = cache[rid] = estimate(request, now)
+                score = estimate(request, now)
                 priced += 1
                 if age_weight:
-                    # Replays ``predicted - age_weight * max(0.0, now -
-                    # arrival)`` branch-for-branch.
-                    wait = now - request.arrival_time
-                    score = value - age_weight * (
-                        wait if wait > 0.0 else 0.0
+                    score -= age_weight * max(
+                        0.0, now - request.arrival_time
                     )
-                else:
-                    score = value
                 if score < best_score or (
                     score == best_score and index < best_index
                 ):
@@ -546,160 +494,41 @@ class _EstimateCachingScheduler(ListScheduler):
         # Wide survivor sets: one numpy batch pricing call beats per-
         # candidate scalar evaluation.  Both paths return bitwise-identical
         # values, so the crossover is purely a speed knob.
-        priced = 1 + len(survivors)
-        if cache is None:
-            values = device.estimate_positioning_batch(
-                [queue[index] for index in survivors], now
-            ).tolist()
-        else:
-            misses = [
-                index for index in survivors if id(queue[index]) not in cache
-            ]
-            if misses:
-                miss_values = device.estimate_positioning_batch(
-                    [queue[index] for index in misses], now
-                ).tolist()
-                for index, value in zip(misses, miss_values):
-                    cache[id(queue[index])] = value
-            values = [cache[id(queue[index])] for index in survivors]
-        for index, value in zip(survivors, values):
+        values = device.estimate_positioning_batch(
+            [queue[index] for index in survivors], now
+        ).tolist()
+        for index, score in zip(survivors, values):
             if age_weight:
-                # Replays the scalar ``predicted - age_weight * max(0.0,
-                # now - arrival)`` per element in the same operation order.
-                wait = max(0.0, now - queue[index].arrival_time)
-                score = value - age_weight * wait
-            else:
-                score = value
+                score -= age_weight * max(
+                    0.0, now - queue[index].arrival_time
+                )
             if score < best_score or (score == best_score and index < best_index):
                 best_score = score
                 best_index = index
-        return best_index, priced
-
-    def _batch_all_select(
-        self, now: float, age_weight: float = 0.0
-    ) -> Tuple[int, int]:
-        """Whole-queue batch pricing (no bound oracle available)."""
-        np = get_numpy()
-        queue = self._queue
-        cache = self._estimates
-        device = self._device
-        count = len(queue)
-        if cache is None or not cache:
-            estimates = device.estimate_positioning_batch(queue, now)
-            if cache is not None:
-                values = estimates.tolist()
-                for request, value in zip(queue, values):
-                    cache[id(request)] = value
-        else:
-            misses = [
-                request for request in queue if id(request) not in cache
-            ]
-            if misses:
-                values = device.estimate_positioning_batch(
-                    misses, now
-                ).tolist()
-                for request, value in zip(misses, values):
-                    cache[id(request)] = value
-            estimates = np.fromiter(
-                (cache[id(request)] for request in queue),
-                dtype=np.float64,
-                count=count,
-            )
-        if age_weight:
-            arrivals = np.fromiter(
-                (request.arrival_time for request in queue),
-                dtype=np.float64,
-                count=count,
-            )
-            # Replays the scalar ``predicted - age_weight * max(0.0, now -
-            # arrival)`` element-wise in the same operation order.
-            scores = estimates - age_weight * np.maximum(0.0, now - arrivals)
-        else:
-            scores = estimates
-        return int(np.argmin(scores)), count
-
-    def _record_selection(
-        self, candidates: int, priced: int, cached_before: int
-    ) -> None:
-        """Fold one selection's pricing work into the telemetry counters."""
-        self.last_candidates = candidates
-        self.last_priced = priced
-        self.last_pruned = candidates - priced
-        cache = self._estimates
-        if cache is None:
-            self.cache_misses += priced
-        else:
-            misses = len(cache) - cached_before
-            self.cache_misses += misses
-            self.cache_hits += priced - misses
+        return best_index, 1 + len(survivors)
 
     def _dispatch_telemetry(self) -> dict:
         return {
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
             "candidates_priced": self.last_priced,
             "candidates_pruned": self.last_pruned,
             "fast_path": self.last_fast_path,
         }
 
 
-class SPTFScheduler(_EstimateCachingScheduler):
+class SPTFScheduler(_SPTFSelector):
     """Greedy minimum-positioning-time selection using the device oracle."""
 
     name = "SPTF"
 
-    def select_index(self, now: float) -> int:
-        candidates = len(self._queue)
-        cache = self._estimates
-        cached_before = 0 if cache is None else len(cache)
-        if candidates <= 1:
-            # The argmin over one candidate is that candidate: no oracle
-            # call, no cache traffic.  Open-arrival runs below saturation
-            # spend most dispatches here, so this shortcut is the single
-            # biggest lever on the per-request pricing cost.
-            self._record_selection(candidates, 0, cached_before)
-            self.last_fast_path = "scan"
-            return 0
-        if self._can_prune and (
-            self._mode == "always" or candidates > PRUNED_DEPTH_THRESHOLD
-        ):
-            if not self._indexed:
-                self._build_indexes()
-            index, priced = self._pruned_select(now)
-            self._record_selection(candidates, priced, cached_before)
-            self.last_fast_path = "pruned"
-            return index
-        if candidates > VECTORIZED_DEPTH_THRESHOLD and self._can_batch:
-            index, priced = self._vectorized_select(now)
-            self._record_selection(candidates, priced, cached_before)
-            self.last_fast_path = "vectorized"
-            return index
-        estimate = self._device.estimate_positioning
-        best_index = 0
-        best_time = None
-        for index, request in enumerate(self._queue):
-            if cache is None:
-                predicted = estimate(request, now)
-            else:
-                key = id(request)
-                predicted = cache.get(key)
-                if predicted is None:
-                    predicted = cache[key] = estimate(request, now)
-            if best_time is None or predicted < best_time:
-                best_time = predicted
-                best_index = index
-        self._record_selection(candidates, candidates, cached_before)
-        self.last_fast_path = "scan"
-        return best_index
 
-
-class AgedSPTFScheduler(_EstimateCachingScheduler):
+class AgedSPTFScheduler(_SPTFSelector):
     """SPTF with linear aging: priority = positioning − age_weight · wait.
 
     ``age_weight`` = 0 degenerates to pure SPTF; a few milliseconds per
-    second of wait is typically enough to bound starvation.  Only the
-    positioning estimate is memoized; the aging term is recomputed from
-    ``now`` on every selection.
+    second of wait is typically enough to bound starvation.  It must be a
+    finite number >= 0: a NaN weight makes every score NaN (so selection
+    silently falls back to queue order), and an infinite one turns the
+    policy into FCFS.
 
     Pruning still applies: the bucket bound is discounted by the *largest
     possible* aging credit — ``age_weight`` × the wait of the oldest
@@ -709,24 +538,16 @@ class AgedSPTFScheduler(_EstimateCachingScheduler):
 
     name = "ASPTF"
 
-    def __init__(
-        self,
-        device: StorageDevice,
-        age_weight: float = 0.01,
-        cache: bool = True,
-        prune: Union[bool, str] = "auto",
-    ) -> None:
-        super().__init__(device, cache=cache, prune=prune)
-        if age_weight < 0:
-            raise ValueError(f"negative age_weight: {age_weight}")
+    def __init__(self, device: StorageDevice, age_weight: float = 0.01) -> None:
+        super().__init__(device)
+        check_range("age_weight", age_weight, ge=0)
         self.age_weight = age_weight
         # Min-heap of (arrival_time, seq) with lazy deletion: entries
         # whose seq left ``_live_seqs`` are skipped at peek time.  The
         # pending list is not arrival-sorted in general (callers may
         # add out of order), so the heap — not the queue head — tracks
         # the oldest pending arrival.  Maintained alongside the pruning
-        # indexes (from construction in ``'always'`` mode, from the first
-        # pruned selection in ``'auto'``).
+        # indexes, from the first pruned selection on.
         self._arrival_heap: List[Tuple[float, int]] = []
         self._live_seqs: Set[int] = set()
 
@@ -752,61 +573,12 @@ class AgedSPTFScheduler(_EstimateCachingScheduler):
         self._live_seqs.discard(seq)
         return seq
 
-    def _max_wait(self, now: float) -> float:
-        """Upper bound on any pending request's queue wait."""
+    def _discount_cap(self, now: float) -> float:
+        """``age_weight`` × the wait of the oldest pending arrival."""
         heap = self._arrival_heap
         live = self._live_seqs
         while heap and heap[0][1] not in live:
             heapq.heappop(heap)
         if not heap:
             return 0.0
-        return max(0.0, now - heap[0][0])
-
-    def select_index(self, now: float) -> int:
-        candidates = len(self._queue)
-        cache = self._estimates
-        cached_before = 0 if cache is None else len(cache)
-        age_weight = self.age_weight
-        if candidates <= 1:
-            # Aging cannot reorder a single candidate either — same
-            # price-nothing shortcut as pure SPTF.
-            self._record_selection(candidates, 0, cached_before)
-            self.last_fast_path = "scan"
-            return 0
-        if self._can_prune and (
-            self._mode == "always" or candidates > PRUNED_DEPTH_THRESHOLD
-        ):
-            if not self._indexed:
-                self._build_indexes()
-            index, priced = self._pruned_select(
-                now,
-                age_weight=age_weight,
-                discount_cap=age_weight * self._max_wait(now),
-            )
-            self._record_selection(candidates, priced, cached_before)
-            self.last_fast_path = "pruned"
-            return index
-        if candidates > VECTORIZED_DEPTH_THRESHOLD and self._can_batch:
-            index, priced = self._vectorized_select(now, age_weight=age_weight)
-            self._record_selection(candidates, priced, cached_before)
-            self.last_fast_path = "vectorized"
-            return index
-        estimate = self._device.estimate_positioning
-        best_index = 0
-        best_score = None
-        for index, request in enumerate(self._queue):
-            if cache is None:
-                predicted = estimate(request, now)
-            else:
-                key = id(request)
-                predicted = cache.get(key)
-                if predicted is None:
-                    predicted = cache[key] = estimate(request, now)
-            wait = max(0.0, now - request.arrival_time)
-            score = predicted - age_weight * wait
-            if best_score is None or score < best_score:
-                best_score = score
-                best_index = index
-        self._record_selection(candidates, candidates, cached_before)
-        self.last_fast_path = "scan"
-        return best_index
+        return self.age_weight * max(0.0, now - heap[0][0])

@@ -12,9 +12,9 @@ Two ways to fill one:
   percentiles match ``SimulationResult.percentiles`` exactly whenever the
   run fits the histogram reservoir (default 65 536 samples);
 * **online** — attach a :class:`MetricsTracer` to a simulation and the
-  registry fills as events stream, including scheduler cache hit/miss
-  counters and queue-depth samples that a ``SimulationResult`` cannot
-  reconstruct after the fact.
+  registry fills as events stream, including the scheduler's priced/pruned
+  candidate counters and queue-depth samples that a ``SimulationResult``
+  cannot reconstruct after the fact.
 
 Render with :meth:`MetricsRegistry.render_text` (aligned report for a
 terminal) or :meth:`MetricsRegistry.to_dict` (machine-readable JSON, written
@@ -284,8 +284,8 @@ class MetricsTracer:
     """A tracer sink that folds the event stream into a registry online.
 
     Captures what post-hoc aggregation cannot: queue-depth samples at
-    arrival/dispatch and the scheduler's cumulative estimate-cache counters
-    (taken from the final ``sched.dispatch`` event).
+    arrival/dispatch and the scheduler's priced/pruned candidate counts and
+    fast-path mix (summed over ``sched.dispatch`` events).
     """
 
     enabled = True
@@ -311,10 +311,6 @@ class MetricsTracer:
                 registry.counter(f"phase.{phase}_s").inc(event[phase])
             registry.counter("device_busy_s").inc(event["total"])
         elif kind == "sched.dispatch":
-            if "cache_hits" in event:
-                # Cumulative counters: keep the latest snapshot as gauges.
-                registry.set_gauge("sched.cache_hits", event["cache_hits"])
-                registry.set_gauge("sched.cache_misses", event["cache_misses"])
             if "candidates_priced" in event:
                 # Per-dispatch pruning split: accumulate so the final
                 # priced/(priced+pruned) ratio summarizes the whole run.

@@ -34,10 +34,10 @@ Event kinds emitted by the stack:
     ``positioning`` is seek + rotational latency).
 ``sched.dispatch``
     The scheduler's pick (``rid``), with the candidate-set size it chose
-    from and — for the estimate-caching SPTF variants — cumulative
-    estimate-cache hit/miss counters plus the per-dispatch pruning split
-    (``candidates_priced``/``candidates_pruned``; always summing to
-    ``candidates``).
+    from and — for the SPTF variants — the per-dispatch pruning split
+    (``candidates_priced``, the oracle calls the selection made, and
+    ``candidates_pruned``; always summing to ``candidates``) and the
+    selection ``fast_path``.
 ``fleet.route``
     The fleet front-end's routing decision for one request (merged fleet
     traces only; see :mod:`repro.fleet.merge`): the chosen ``member``
@@ -130,8 +130,7 @@ EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
 
 Emitters may add extra fields (``dev.access`` adds ``device``, ``bits``,
 and the post-access ``cylinder``; ``sched.dispatch`` adds
-``cache_hits``/``cache_misses``,
-``candidates_priced``/``candidates_pruned``, and the selection
+``candidates_priced``/``candidates_pruned`` and the selection
 ``fast_path`` — ``scan``/``vectorized``/``pruned`` — on the SPTF
 variants); the validator checks only for the required ones, plus the
 cross-field invariants it knows (``dev.access`` phase sums;

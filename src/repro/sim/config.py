@@ -154,13 +154,13 @@ class SimConfig:
             aggregator; violations are emitted as ``slo.violation`` trace
             events.  Any sequence is accepted and normalized to a tuple.
         scheduler_params: Extra keyword arguments for the scheduler factory
-            (e.g. ``{"cache": False}`` or ``{"prune": "always"}`` for the
-            SPTF variants; ``prune`` accepts ``'auto'`` — the default,
-            picking scan/vectorized/pruned selection per dispatch from the
-            queue depth — ``'always'``, ``'never'``, or a legacy bool).
-            The dense seek/lower-bound tables the pruned SPTF path indexes
-            are memoized at module level on the (frozen) device parameters
-            and built lazily on first pruned selection, so sweep workers
+            (e.g. ``{"age_weight": 0.02}`` for ASPTF; SPTF takes none).
+            Checked when the scheduler is built, not here: a key the
+            policy does not take raises ``ValueError`` naming it, so a
+            misspelt or retired option cannot silently run the defaults.
+            The dense seek/lower-bound tables the SPTF deep-queue paths
+            index are memoized at module level on the (frozen) device
+            parameters and built lazily on first use, so sweep workers
             forked from one parent share a single copy instead of
             rebuilding them per config.
         workload_params: Extra keyword arguments for the workload builder.

@@ -7,11 +7,11 @@ The adaptive SPTF stack rests on two exactness claims:
   element, the *bitwise identical* float that ``estimate_positioning``
   returns for the same (device state, request, now) triple, on both device
   models, for request streams drawn from every layout scheme's placement;
-* **selection** — every adaptive mode (``auto`` / ``always`` / ``never``)
-  dispatches the identical request sequence, including at the depth
-  thresholds where ``auto`` switches fast paths (depth 0/1, around
-  ``VECTORIZED_DEPTH_THRESHOLD`` and ``PRUNED_DEPTH_THRESHOLD``), traced
-  and untraced.
+* **selection** — the depth-adaptive selector dispatches the request
+  sequence of the plain-scan spec (``reference_sptf.py``), including at the
+  depth thresholds where it switches fast paths (depth 0/1, around
+  ``VECTORIZED_DEPTH_THRESHOLD`` and ``PRUNED_DEPTH_THRESHOLD``) and with
+  either deep path forced at every depth, traced and untraced.
 
 Everything here asserts ``==`` on floats on purpose: the vectorized paths
 are engineered to replay the scalar operation order (see
@@ -26,6 +26,7 @@ import pytest
 
 from repro.core.layout import LAYOUTS, make_layout
 from repro.core.layout.base import FileSet
+from repro.core.scheduling import sptf
 from repro.core.scheduling.sptf import (
     PRUNED_DEPTH_THRESHOLD,
     VECTORIZED_DEPTH_THRESHOLD,
@@ -37,6 +38,8 @@ from repro.disk.device import DiskDevice
 from repro.mems.device import MEMSDevice
 from repro.mems.parameters import MEMSParameters
 from repro.sim.request import IOKind, Request
+
+from .reference_sptf import ReferenceSPTF
 
 
 def _make_device(kind, memoize=True):
@@ -164,18 +167,37 @@ def _drain_order(device, scheduler, requests, refill_every=3):
 class TestAdaptiveModeEquivalence:
     @pytest.mark.parametrize("device_kind", DEVICE_KINDS)
     @pytest.mark.parametrize("scheduler_cls", [SPTFScheduler, AgedSPTFScheduler])
-    def test_all_modes_dispatch_identically(self, device_kind, scheduler_cls):
+    def test_all_modes_dispatch_identically(
+        self, device_kind, scheduler_cls, monkeypatch
+    ):
         capacity = _make_device(device_kind).capacity_sectors
         # 2 * PRUNED_DEPTH_THRESHOLD preloaded ensures the drain starts on
         # the pruned path, passes through the vectorized band, and finishes
         # on the scan — every threshold is crossed within one run.
         requests = _random_stream(capacity, 4 * PRUNED_DEPTH_THRESHOLD, seed=41)
-        orders = []
-        for mode in ("never", "auto", "always"):
-            device = _make_device(device_kind)
-            scheduler = scheduler_cls(device, cache=True, prune=mode)
-            orders.append(_drain_order(device, scheduler, requests))
-        assert orders[0] == orders[1] == orders[2]
+        device = _make_device(device_kind)
+        probe = scheduler_cls(device)
+        orders = [
+            _drain_order(
+                device, ReferenceSPTF(device, age_weight=probe.age_weight),
+                requests,
+            )
+        ]
+        # Production thresholds, then the vectorized screen and the pruned
+        # walk each forced onto every multi-candidate selection.
+        for vectorized, pruned in (
+            (VECTORIZED_DEPTH_THRESHOLD, PRUNED_DEPTH_THRESHOLD),
+            (1, 10**9),
+            (1, 1),
+        ):
+            with monkeypatch.context() as patch:
+                patch.setattr(sptf, "VECTORIZED_DEPTH_THRESHOLD", vectorized)
+                patch.setattr(sptf, "PRUNED_DEPTH_THRESHOLD", pruned)
+                device = _make_device(device_kind)
+                orders.append(
+                    _drain_order(device, scheduler_cls(device), requests)
+                )
+        assert orders[0] == orders[1] == orders[2] == orders[3]
 
     @pytest.mark.parametrize("device_kind", ["mems", "disk"])
     @pytest.mark.parametrize(
@@ -197,9 +219,9 @@ class TestAdaptiveModeEquivalence:
         capacity = _make_device(device_kind).capacity_sectors
         requests = _random_stream(capacity, depth + 1, seed=depth + 7)
         adaptive_dev = _make_device(device_kind)
-        adaptive = SPTFScheduler(adaptive_dev, cache=True, prune="auto")
+        adaptive = SPTFScheduler(adaptive_dev)
         scan_dev = _make_device(device_kind)
-        scan = SPTFScheduler(scan_dev, cache=False, prune="never")
+        scan = ReferenceSPTF(scan_dev)
         for request in requests:
             adaptive.add(request)
             scan.add(request)
@@ -222,22 +244,20 @@ class TestAdaptiveModeEquivalence:
         from repro.sim import Simulation
         from repro.sim.config import SimConfig
 
-        def run(prune):
-            config = SimConfig(
-                device="mems",
-                scheduler="SPTF",
-                rate=1200.0,
-                num_requests=400,
-                seed=9,
-                scheduler_params={"prune": prune},
-            )
-            tracer = RingBufferTracer() if traced else None
-            sim = Simulation.from_config(config, tracer=tracer)
-            result = sim.run(config.build_requests(sim.device))
-            return result, tracer
-
-        never_result, _ = run("never")
-        auto_result, tracer = run("auto")
+        config = SimConfig(
+            device="mems",
+            scheduler="SPTF",
+            rate=1200.0,
+            num_requests=400,
+            seed=9,
+        )
+        scan_dev = config.build_device()
+        never_result = Simulation(scan_dev, ReferenceSPTF(scan_dev)).run(
+            config.build_requests(scan_dev)
+        )
+        tracer = RingBufferTracer() if traced else None
+        sim = Simulation.from_config(config, tracer=tracer)
+        auto_result = sim.run(config.build_requests(sim.device))
         assert [r.request.request_id for r in never_result.records] == [
             r.request.request_id for r in auto_result.records
         ]
@@ -254,7 +274,7 @@ class TestAdaptiveModeEquivalence:
 
     def test_lazy_index_build_on_first_deep_selection(self):
         device = MEMSDevice()
-        scheduler = SPTFScheduler(device, prune="auto")
+        scheduler = SPTFScheduler(device)
         assert device._lower_bounds is None  # nothing built at construction
         requests = _random_stream(
             device.capacity_sectors, PRUNED_DEPTH_THRESHOLD + 10, seed=3
@@ -266,7 +286,6 @@ class TestAdaptiveModeEquivalence:
         assert device._lower_bounds is None
         assert scheduler.last_priced == 0
         assert scheduler.last_pruned == 1
-        assert scheduler.cache_misses == 0
         for request in requests[1 : VECTORIZED_DEPTH_THRESHOLD + 1]:
             scheduler.add(request)
         scheduler.pop_next(0.0)

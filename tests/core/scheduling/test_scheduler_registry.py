@@ -49,9 +49,37 @@ class TestMakeScheduler:
         scheduler = make_scheduler("ASPTF", MEMSDevice(), age_weight=0.07)
         assert scheduler.age_weight == 0.07
 
-    def test_sptf_cache_kwarg(self):
-        scheduler = make_scheduler("SPTF", MEMSDevice(), cache=False)
-        assert scheduler._estimates is None
+    @pytest.mark.parametrize(
+        "name, options",
+        [
+            ("ASPTF", {"age_wieght": 0.5}),
+            ("SPTF", {"cache": False}),
+            ("SPTF", {"prune": "never"}),
+            ("ASPTF", {"prune": True}),
+            ("C-LOOK", {"age_weight": 0.5}),
+        ],
+    )
+    def test_unknown_option_names_key_and_policy(self, name, options):
+        (key,) = options
+        canonical = SCHEDULERS.canonical_name(name)
+        with pytest.raises(ValueError, match=f"'{key}'.*'{canonical}'"):
+            make_scheduler(name, MEMSDevice(), **options)
+
+    def test_sectors_per_cylinder_ignored_by_other_policies(self):
+        # Sweeps pass the SXTF constant to every policy.
+        for name in SCHEDULERS.names():
+            scheduler = make_scheduler(
+                name, MEMSDevice(), sectors_per_cylinder=100
+            )
+            assert scheduler.name == name
+
+    def test_config_holding_unknown_option_fails_at_build(self):
+        from repro.sim.config import SimConfig
+
+        config = SimConfig(scheduler_params={"prune": "never"})
+        assert SimConfig.from_dict(config.to_dict()) == config
+        with pytest.raises(ValueError, match="'prune'.*'SPTF'"):
+            config.build_scheduler(config.build_device())
 
 
 class TestSXTFAutoGeometry:

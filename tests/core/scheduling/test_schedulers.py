@@ -178,6 +178,13 @@ class TestAgedSPTF:
         with pytest.raises(ValueError):
             AgedSPTFScheduler(StubDevice(), age_weight=-1.0)
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), True])
+    def test_non_finite_weight_rejected(self, weight):
+        # NaN scores fall back to queue order and an infinite weight is
+        # FCFS: neither is the policy the caller asked for.
+        with pytest.raises(ValueError, match="age_weight"):
+            AgedSPTFScheduler(StubDevice(), age_weight=weight)
+
 
 class TestShortestXFirst:
     def test_prefers_same_cylinder(self):

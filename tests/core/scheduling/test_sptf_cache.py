@@ -1,15 +1,11 @@
-"""The SPTF estimate caches must never change which request is dispatched.
+"""The device memos must never change which request SPTF dispatches.
 
-Both optimizations under test here are supposed to be pure speedups:
-
-* the device-side geometry/profile memoization
-  (``MEMSDevice(memoize=True)``, ``DiskDevice(memoize=True)``);
-* the scheduler-side per-state estimate cache
-  (``SPTFScheduler(cache=True)`` / ``AgedSPTFScheduler(cache=True)``).
-
-Each test replays an identical seeded request stream through a cached and
-an uncached (seed-equivalent) stack and asserts the *dispatch order* — the
-only thing the simulation can observe — is identical, including
+The device-side geometry/profile memoization (``MEMSDevice(memoize=True)``,
+``DiskDevice(memoize=True)``) is supposed to be a pure speedup.  Each test
+replays an identical seeded request stream through the production stack
+(memos on, adaptive selector) and an unmemoized device driving the
+plain-scan spec (``reference_sptf.py``), and asserts the *dispatch order* —
+the only thing the simulation can observe — is identical, including
 tie-breaking.
 """
 
@@ -22,6 +18,8 @@ from repro.disk.atlas10k import atlas_10k
 from repro.disk.device import DiskDevice
 from repro.mems.device import MEMSDevice
 from repro.sim.request import IOKind, Request
+
+from .reference_sptf import reference_for
 
 
 def _request_stream(capacity, count, seed):
@@ -62,11 +60,11 @@ def _make_stack(device_kind, scheduler_kind, optimized):
         device = MEMSDevice(memoize=optimized)
     else:
         device = DiskDevice(atlas_10k(), memoize=optimized)
+    if not optimized:
+        return device, reference_for(scheduler_kind, device)
     if scheduler_kind == "sptf":
-        scheduler = SPTFScheduler(device, cache=optimized)
-    else:
-        scheduler = AgedSPTFScheduler(device, cache=optimized)
-    return device, scheduler
+        return device, SPTFScheduler(device)
+    return device, AgedSPTFScheduler(device)
 
 
 @pytest.mark.parametrize("device_kind", ["mems", "disk"])
@@ -97,18 +95,6 @@ def test_mems_estimates_bitwise_equal():
         )
         # Advance both sleds identically so estimates cover many states.
         assert cached.service(request, 0.0) == uncached.service(request, 0.0)
-
-
-def test_estimate_cache_invalidated_on_dispatch():
-    device = MEMSDevice()
-    scheduler = SPTFScheduler(device)
-    requests = _request_stream(device.capacity_sectors, 30, seed=7)
-    for request in requests:
-        scheduler.add(request)
-    scheduler.select_index(0.0)
-    assert scheduler._estimates  # populated by the selection pass
-    scheduler.pop_next(0.0)
-    assert not scheduler._estimates  # state changed -> cache dropped
 
 
 def test_out_of_range_request_still_raises_with_caches_on():

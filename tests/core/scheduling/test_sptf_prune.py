@@ -1,16 +1,19 @@
 """Lower-bound pruning must never change which request SPTF dispatches.
 
-The pruned selection walk (``prune=True``) is a pure speedup over the naive
-full scan: it buckets pending requests by cylinder, visits buckets in
-increasing lower-bound order, and stops when the next bucket's admissible
-bound strictly exceeds the best exact estimate.  These tests pin the two
-properties the optimization rests on:
+The pruned selection walk is a pure speedup over the naive full scan: it
+buckets pending requests by cylinder, visits buckets in increasing
+lower-bound order, and stops when the next bucket's admissible bound
+strictly exceeds the best exact estimate.  Production takes the walk only
+above ``PRUNED_DEPTH_THRESHOLD``; the equivalence tests lower that
+threshold (the ``pruned_walk_everywhere`` fixture) so the walk serves every
+multi-candidate selection.  These tests pin the two properties the
+optimization rests on:
 
-* **equivalence** — pruned and naive (``cache=False, prune=False``) stacks
-  replay identical seeded streams and must produce *bit-identical* dispatch
-  orders and simulation statistics, on both devices, both SPTF variants,
-  traced and untraced, and on request streams drawn from every layout
-  scheme's placement;
+* **equivalence** — the pruned walk and the plain-scan spec
+  (``reference_sptf.py``) replay identical seeded streams and must produce
+  *bit-identical* dispatch orders and simulation statistics, on both
+  devices, both SPTF variants, traced and untraced, and on request streams
+  drawn from every layout scheme's placement;
 * **admissibility** — ``positioning_lower_bound`` never exceeds
   ``estimate_positioning`` for any sampled (device state, request, now)
   triple, and the dense bound tables are monotone in cylinder distance
@@ -23,7 +26,7 @@ import pytest
 
 from repro.core.layout import LAYOUTS, make_layout
 from repro.core.layout.base import FileSet
-from repro.core.scheduling import make_scheduler
+from repro.core.scheduling import sptf
 from repro.core.scheduling.sptf import (
     AgedSPTFScheduler,
     SPTFScheduler,
@@ -34,6 +37,8 @@ from repro.disk.device import DiskDevice
 from repro.mems.device import MEMSDevice
 from repro.mems.parameters import MEMSParameters
 from repro.sim.request import IOKind, Request
+
+from .reference_sptf import ReferenceSPTF, reference_for
 
 
 def _make_device(kind):
@@ -47,10 +52,16 @@ def _make_device(kind):
     return DiskDevice(atlas_10k())
 
 
-def _make_scheduler(kind, device, prune, cache):
+def _make_scheduler(kind, device):
     if kind == "sptf":
-        return SPTFScheduler(device, cache=cache, prune=prune)
-    return AgedSPTFScheduler(device, cache=cache, prune=prune)
+        return SPTFScheduler(device)
+    return AgedSPTFScheduler(device)
+
+
+@pytest.fixture
+def pruned_walk_everywhere(monkeypatch):
+    """Serve every multi-candidate selection from the pruned walk."""
+    monkeypatch.setattr(sptf, "PRUNED_DEPTH_THRESHOLD", 1)
 
 
 def _random_stream(capacity, count, seed, writes=False):
@@ -94,6 +105,7 @@ def _drain_order(device, scheduler, requests, refill_every=3):
 DEVICE_KINDS = ("mems", "mems-nospring", "disk")
 
 
+@pytest.mark.usefixtures("pruned_walk_everywhere")
 class TestDispatchEquivalence:
     @pytest.mark.parametrize("device_kind", DEVICE_KINDS)
     @pytest.mark.parametrize("scheduler_kind", ["sptf", "asptf"])
@@ -103,15 +115,11 @@ class TestDispatchEquivalence:
         requests = _random_stream(capacity, 140, seed, writes=True)
         naive_dev = _make_device(device_kind)
         naive = _drain_order(
-            naive_dev,
-            _make_scheduler(scheduler_kind, naive_dev, False, False),
-            requests,
+            naive_dev, reference_for(scheduler_kind, naive_dev), requests
         )
         pruned_dev = _make_device(device_kind)
         pruned = _drain_order(
-            pruned_dev,
-            _make_scheduler(scheduler_kind, pruned_dev, True, True),
-            requests,
+            pruned_dev, _make_scheduler(scheduler_kind, pruned_dev), requests
         )
         assert naive == pruned
 
@@ -134,15 +142,9 @@ class TestDispatchEquivalence:
                 )
             )
         naive_dev = _make_device(device_kind)
-        naive = _drain_order(
-            naive_dev, SPTFScheduler(naive_dev, cache=False, prune=False),
-            requests,
-        )
+        naive = _drain_order(naive_dev, ReferenceSPTF(naive_dev), requests)
         pruned_dev = _make_device(device_kind)
-        pruned = _drain_order(
-            pruned_dev, SPTFScheduler(pruned_dev, cache=True, prune=True),
-            requests,
-        )
+        pruned = _drain_order(pruned_dev, SPTFScheduler(pruned_dev), requests)
         assert naive == pruned
 
     @pytest.mark.parametrize("device_kind", ["mems", "disk"])
@@ -151,9 +153,9 @@ class TestDispatchEquivalence:
         # the incumbent, so the walk prices everything — and must still
         # agree with the naive scan.
         device = _make_device(device_kind)
-        scheduler = SPTFScheduler(device, cache=True, prune=True)
+        scheduler = SPTFScheduler(device)
         naive_dev = _make_device(device_kind)
-        naive_sched = SPTFScheduler(naive_dev, cache=False, prune=False)
+        naive_sched = ReferenceSPTF(naive_dev)
         requests = [
             Request(0.0, lbn=slot, sectors=1, kind=IOKind.READ, request_id=slot)
             for slot in range(12)
@@ -168,7 +170,7 @@ class TestDispatchEquivalence:
         # A multi-candidate selection on one cylinder prices the whole
         # queue — the bound can never beat the incumbent.
         repeat_dev = _make_device(device_kind)
-        repeat = SPTFScheduler(repeat_dev, cache=True, prune=True)
+        repeat = SPTFScheduler(repeat_dev)
         for request in requests:
             repeat.add(request)
         repeat.pop_next(0.0)
@@ -203,19 +205,16 @@ class TestDispatchEquivalence:
                     )
                 naive_dev = _make_device(device_kind)
                 naive = _drain_order(
-                    naive_dev,
-                    SPTFScheduler(naive_dev, cache=False, prune=False),
-                    requests,
+                    naive_dev, ReferenceSPTF(naive_dev), requests
                 )
                 pruned_dev = _make_device(device_kind)
                 pruned = _drain_order(
-                    pruned_dev,
-                    SPTFScheduler(pruned_dev, cache=True, prune=True),
-                    requests,
+                    pruned_dev, SPTFScheduler(pruned_dev), requests
                 )
                 assert naive == pruned, (layout_name, device_kind)
 
 
+@pytest.mark.usefixtures("pruned_walk_everywhere")
 class TestSimulationEquivalence:
     @pytest.mark.parametrize("device", ["mems", "atlas10k"])
     @pytest.mark.parametrize("scheduler", ["SPTF", "ASPTF"])
@@ -226,22 +225,21 @@ class TestSimulationEquivalence:
         from repro.sim import Simulation
         from repro.sim.config import SimConfig
 
-        def run(prune):
-            config = SimConfig(
-                device=device,
-                scheduler=scheduler,
-                rate=1100.0,
-                num_requests=500,
-                seed=5,
-                scheduler_params={"prune": prune, "cache": prune},
-            )
-            tracer = RingBufferTracer() if traced else None
-            sim = Simulation.from_config(config, tracer=tracer)
-            result = sim.run(config.build_requests(sim.device))
-            return result, tracer
-
-        naive_result, _ = run(prune=False)
-        pruned_result, tracer = run(prune=True)
+        config = SimConfig(
+            device=device,
+            scheduler=scheduler,
+            rate=1100.0,
+            num_requests=500,
+            seed=5,
+        )
+        naive_dev = config.build_device()
+        naive_sim = Simulation(
+            naive_dev, reference_for(scheduler.lower(), naive_dev)
+        )
+        naive_result = naive_sim.run(config.build_requests(naive_dev))
+        tracer = RingBufferTracer() if traced else None
+        sim = Simulation.from_config(config, tracer=tracer)
+        pruned_result = sim.run(config.build_requests(sim.device))
         assert [r.request.request_id for r in naive_result.records] == [
             r.request.request_id for r in pruned_result.records
         ]
@@ -317,17 +315,6 @@ class TestLowerBoundAdmissibility:
 
 
 class TestPruneToggleAndFallback:
-    def test_factory_and_config_plumb_prune_flag(self):
-        from repro.sim.config import SimConfig
-
-        device = MEMSDevice()
-        assert make_scheduler("SPTF", device).prune_enabled
-        assert not make_scheduler("SPTF", device, prune=False).prune_enabled
-        assert make_scheduler("ASPTF", device).prune_enabled
-        config = SimConfig(scheduler_params={"prune": False})
-        sim_device = config.build_device()
-        assert not config.build_scheduler(sim_device).prune_enabled
-
     def test_device_without_oracle_falls_back_to_full_scan(self):
         class OracleOnlyDevice:
             """Bare positioning oracle without the pruning surface."""
@@ -344,14 +331,12 @@ class TestPruneToggleAndFallback:
 
         device = OracleOnlyDevice()
         assert not device_supports_pruning(device)
-        scheduler = SPTFScheduler(device, prune=True)
+        scheduler = SPTFScheduler(device)
         assert not scheduler.prune_enabled
         requests = _random_stream(device.capacity_sectors, 20, seed=2)
         reference_dev = MEMSDevice()
         reference = _drain_order(
-            reference_dev,
-            SPTFScheduler(reference_dev, cache=False, prune=False),
-            requests,
+            reference_dev, ReferenceSPTF(reference_dev), requests
         )
         assert _drain_order(device, scheduler, requests) == reference
         # Without the oracle the walk never runs: the drain's final
@@ -365,6 +350,31 @@ class TestPruneToggleAndFallback:
         assert scheduler.last_candidates == 5
         assert scheduler.last_priced == 5
         assert scheduler.last_pruned == 0
+
+    def test_device_without_batch_pricing_takes_the_scan(self):
+        # The bound oracle alone is not enough: the deep-queue paths need
+        # batch pricing too, so such a device scans at every depth.
+        class BoundsOnlyDevice(MEMSDevice):
+            estimate_positioning_batch = None
+
+        device = BoundsOnlyDevice()
+        assert not device_supports_pruning(device)
+        scheduler = SPTFScheduler(device)
+        requests = _random_stream(device.capacity_sectors, 160, seed=4)
+        reference_dev = MEMSDevice()
+        reference = _drain_order(
+            reference_dev, ReferenceSPTF(reference_dev), requests
+        )
+        for request in requests[:100]:
+            scheduler.add(request)
+        scheduler.pop_next(0.0)
+        assert scheduler.last_fast_path == "scan"
+        assert scheduler.last_priced == 100
+        fresh_dev = BoundsOnlyDevice()
+        assert (
+            _drain_order(fresh_dev, SPTFScheduler(fresh_dev), requests)
+            == reference
+        )
 
     @pytest.mark.parametrize("device_kind", ["mems", "disk"])
     def test_pruning_actually_prunes_on_spread_queues(self, device_kind):

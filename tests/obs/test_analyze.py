@@ -141,6 +141,31 @@ class TestConservation:
             == stats.candidates
         )
 
+    def test_traces_with_retired_cache_counters_still_load(self, traced_run):
+        # Traces written before the SPTF estimate cache was removed carry
+        # cumulative ``cache_hits``/``cache_misses`` on every SPTF
+        # dispatch; they must still validate and fold, and the fields are
+        # simply ignored.
+        from repro.obs.report import render_report
+        from repro.obs.tracer import TRACE_SCHEMA
+        from repro.obs.validate import validate_events
+
+        events, _ = traced_run
+        misses = 0
+        legacy = []
+        for event in events:
+            if event["kind"] == "sched.dispatch":
+                misses += event["candidates_priced"]
+                event = dict(event, cache_hits=0, cache_misses=misses)
+            legacy.append(event)
+        meta = {"kind": "trace.meta", "t": 0.0, "schema": TRACE_SCHEMA}
+        assert validate_events([meta] + legacy) == []
+        old = analyze_events(iter(legacy))
+        assert old.dispatch["SPTF"].to_dict() == (
+            analyze_events(iter(events)).dispatch["SPTF"].to_dict()
+        )
+        assert "cache" not in render_report(old, "md")
+
     def test_not_sampled_and_no_pending(self, analysis):
         assert analysis.sampled is False
         assert analysis.spans_pending == 0

@@ -209,3 +209,23 @@ class TestCLI:
         path.write_text('{"max_queue_depth": 0}')
         assert main(["simulate", "--config", str(path)]) == 2
         assert "max_queue_depth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "params, needle",
+        [
+            ('{"age_weight": NaN}', "age_weight"),
+            ('{"age_weight": Infinity}', "age_weight"),
+            ('{"age_wieght": 0.5}', "age_wieght"),
+            ('{"prune": "never"}', "prune"),
+        ],
+    )
+    def test_config_file_scheduler_params_exit_two(
+        self, tmp_path, capsys, params, needle
+    ):
+        path = tmp_path / "sim.json"
+        path.write_text(
+            '{"scheduler": "ASPTF", "num_requests": 50, '
+            f'"scheduler_params": {params}}}'
+        )
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert needle in capsys.readouterr().err
